@@ -19,7 +19,7 @@ import io
 import json
 import os
 import sys
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 
 from .gausscf import (
@@ -219,7 +219,8 @@ def _build_rule(kind: str, n: int, prec: int) -> QuadRule:
     return newton_cotes(n, prec)
 
 
-def _read_samples(path: str, kind: str, n: int):
+def _read_samples(path: str, kind: str, n: int, prec: int):
+    ctx = working_context(prec)
     values = []
     header_checks = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -230,7 +231,14 @@ def _read_samples(path: str, kind: str, n: int):
             if line.startswith("#"):
                 header_checks.append(line.lstrip("#").split())
                 continue
-            values.append(Decimal(line))
+            value = Decimal(line)
+            if not value.is_finite():
+                raise ValueError(f"sample {line!r} is not a finite number")
+            try:
+                ctx.plus(value)
+            except Overflow:
+                raise ValueError(f"sample {line!r} overflows the decimal exponent range") from None
+            values.append(value)
     for tokens in header_checks:
         if not tokens or tokens[0] != "rule":
             continue
@@ -249,13 +257,15 @@ def cmd_integrate(args, parser) -> int:
         width = Decimal(args.width)
     except InvalidOperation:
         parser.error(f"--from/--width must be decimal numbers, got {args.start!r}/{args.width!r}")
+    if not (start.is_finite() and width.is_finite()):
+        parser.error(f"--from/--width must be finite, got {args.start!r}/{args.width!r}")
     if width == 0:
         parser.error("--width must be nonzero")
     rule = _build_rule(args.rule, args.n, prec)
     fmt = args.format
     if args.samples:
         try:
-            values = _read_samples(args.samples, args.rule, args.n)
+            values = _read_samples(args.samples, args.rule, args.n, prec)
         except (OSError, InvalidOperation, ValueError) as exc:
             print(f"error: bad samples file: {exc}", file=sys.stderr)
             return 3
@@ -266,10 +276,15 @@ def cmd_integrate(args, parser) -> int:
                 file=sys.stderr,
             )
             return 3
-        with localcontext(working_context(prec)):
-            total = width * sum(
-                (w * a for w, a in zip(rule.weights, values)), Decimal(0)
-            )
+        try:
+            with localcontext(working_context(prec)):
+                total = width * sum(
+                    (w * a for w, a in zip(rule.weights, values)), Decimal(0)
+                )
+        except Overflow:
+            print("error: the weighted sum of the samples overflows the decimal "
+                  "exponent range", file=sys.stderr)
+            return 3
         result = {"rule": args.rule, "n": args.n, "value": format_sig(total, 16)}
     else:
         if not args.fn:

@@ -176,10 +176,13 @@ def format_sig(x: Decimal, sig: int) -> str:
     Fixed-point notation is used whenever the leading digit sits within a
     sane window of the decimal point; very small or very large magnitudes
     fall back to ``d.dddE+xx`` scientific notation.  Zero renders with a
-    full run of zeros so column widths stay stable.
+    full run of zeros so column widths stay stable.  A NaN or an infinity
+    raises ValueError: no digit string renders it.
     """
     if sig < 1:
         raise ValueError("sig must be >= 1")
+    if not x.is_finite():
+        raise ValueError(f"cannot render non-finite value {x}")
     if x == 0:
         return "0." + "0" * sig
     with localcontext(Context(prec=sig + 4, rounding=ROUND_HALF_EVEN)):

@@ -1,31 +1,77 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, on an integer kernel.
 
-Coefficients are stored ascending by degree as a tuple of Fractions; the
-zero polynomial is the empty tuple and every constructor strips trailing
-zero coefficients, so equal polynomials compare equal structurally.
-Degrees in this package never exceed a few dozen, which keeps the dense
-representation and the quadratic-time algorithms below entirely adequate.
+A polynomial is held as a tuple of integer numerators, ascending by degree,
+over one positive common denominator, in primitive form: the gcd of the
+numerators shares no factor with the denominator.  The denominator is then
+the least common denominator of the coefficients, so the form is unique and
+equal polynomials have equal representations.  The zero polynomial has no
+numerators and denominator 1.  Every arithmetic method works on Python ints
+and restores the primitive form with one gcd over the result, instead of one
+gcd per coefficient as Fraction arithmetic would; evaluation at p/q is a
+homogeneous Horner scheme that builds a single Fraction at the end.
+
+``coeffs``, the canonical tuple of Fractions, is built on first use and
+kept.  ``eval_hp`` keeps its Decimal coefficients per decimal context
+(precision, rounding and exponent limits); each is the correctly rounded
+quotient of numerator by denominator, the same value a conversion of the
+Fraction gives, so results do not depend on the cache.
+
+Gauss rules up to n = 100 build node polynomials of degree 101, and their
+weight polynomials take about a hundred extended-Euclid division steps; the
+dense schoolbook algorithms below serve those sizes.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
+
+_set = object.__setattr__
+
+
+def _fill(p: "RatPoly", num: tuple[int, ...], den: int, coeffs=None) -> "RatPoly":
+    _set(p, "_num", num)
+    _set(p, "_den", den)
+    _set(p, "_coeffs", coeffs)
+    _set(p, "_hp", None)
+    return p
+
+
+def _make(num: list[int], den: int) -> "RatPoly":
+    """The polynomial num/den in primitive form; den is a nonzero int."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return _fill(object.__new__(RatPoly), tuple(num), den)
 
 
 class RatPoly:
-    """Immutable dense polynomial with Fraction coefficients."""
+    """Immutable dense polynomial with rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs", "_hp")
 
-    coeffs: tuple[Fraction, ...]
+    _num: tuple[int, ...]
+    _den: int
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # Reduced Fractions over their lcm are already primitive: for each
+        # prime of the lcm, the coefficient whose denominator carries its
+        # full power keeps a numerator free of it.
+        den = lcm(*(c.denominator for c in cs))
+        _fill(self, tuple(c.numerator * (den // c.denominator) for c in cs), den, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
@@ -56,28 +102,39 @@ class RatPoly:
     # -- basic structure ----------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients ascending by degree, as canonical Fractions."""
+        cs = self._coeffs
+        if cs is None:
+            den = self._den
+            cs = tuple(Fraction(a, den) for a in self._num)
+            _set(self, "_coeffs", cs)
+        return cs
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, RatPoly) and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __repr__(self) -> str:
         return f"RatPoly({[str(c) for c in self.coeffs]})"
@@ -106,29 +163,40 @@ class RatPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(-c for c in self.coeffs)
+        return _make([-a for a in self._num], self._den)
+
+    def _plus(self, other: "RatPoly", sign: int) -> "RatPoly":
+        # self + sign*other over the lcm of the two denominators.
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        a, b = self._num, other._num
+        out = [x * fa for x in a]
+        if len(b) > len(a):
+            out.extend([0] * (len(b) - len(a)))
+        for i, y in enumerate(b):
+            out[i] += y * fb
+        return _make(out, da * fa)
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, RatPoly):
-            if not self.coeffs or not other.coeffs:
+            a, b = self._num, other._num
+            if not a or not b:
                 return RatPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RatPoly(out)
+            if len(a) < len(b):
+                a, b = b, a
+            la = len(a)
+            out = [0] * (la + len(b) - 1)
+            for i, y in enumerate(b):
+                if y:
+                    out[i:i + la] = [o + x * y for o, x in zip(out[i:i + la], a)]
+            return _make(out, self._den * other._den)
         return self.scale(Fraction(other))
 
     def __rmul__(self, other):
@@ -136,52 +204,95 @@ class RatPoly:
 
     def scale(self, c: Fraction | int) -> "RatPoly":
         c = Fraction(c)
-        return RatPoly(a * c for a in self.coeffs)
+        p = c.numerator
+        return _make([a * p for a in self._num] if p else [], self._den * c.denominator)
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(1 / self.leading)
+        return _make(list(self._num), self._num[-1])
 
     def divrem(self, g: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        """Euclidean division: self = q*g + r with deg r < deg g, exactly."""
+        """Euclidean division: self = q*g + r with deg r < deg g, exactly.
+
+        Runs on numerators: whenever the divisor's leading numerator does
+        not divide the next remainder coefficient, the remainder and the
+        quotient so far are multiplied by the missing factor, and the
+        product of those factors joins the denominators at the end.
+        """
         if g.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dg = g.degree
-        lead = g.leading
-        if len(rem) <= dg:
+        b = g._num
+        dg = len(b) - 1
+        if len(self._num) <= dg:
             return RatPoly.zero(), self
-        quot = [Fraction(0)] * (len(rem) - dg)
+        lead = b[-1]
+        low = b[:-1]
+        rem = list(self._num)
+        quot: list[int] = []  # highest degree first
+        mult = 1  # self * mult = quot * g + rem, on numerators
         for i in range(len(rem) - 1, dg - 1, -1):
-            factor = rem[i] / lead
-            quot[i - dg] = factor
-            if factor:
-                for j, c in enumerate(g.coeffs):
-                    rem[i - dg + j] -= factor * c
-        return RatPoly(quot), RatPoly(rem[:dg])
+            c = rem[i]
+            if not c:
+                quot.append(0)
+                continue
+            k = gcd(c, lead)
+            m = lead // k
+            if m != 1:
+                rem[:i] = [x * m for x in rem[:i]]
+                quot = [x * m for x in quot]
+                mult *= m
+            f = c // k
+            quot.append(f)
+            base = i - dg
+            rem[base:i] = [x - f * y for x, y in zip(rem[base:i], low)]
+        quot.reverse()
+        den = mult * self._den
+        return _make([x * g._den for x in quot], den), _make(rem[:dg], den)
 
     def __mod__(self, g: "RatPoly") -> "RatPoly":
         return self.divrem(g)[1]
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _make([i * a for i, a in enumerate(self._num)][1:], self._den)
 
     # -- evaluation and integration -------------------------------------
 
     def eval(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact Horner evaluation at a rational point.
+
+        At x = p/q the scheme is homogeneous, sum a_i p^i q^(d-i), so it
+        stays in integers and divides once at the end.
+        """
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        num = self._num
+        if not num:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc = num[-1]
+        qk = 1
+        for a in reversed(num[:-1]):
+            qk *= q
+            acc = acc * p + a * qk
+        return Fraction(acc, self._den * qk)
 
     def eval_hp(self, x: Decimal) -> Decimal:
         """Horner evaluation at a Decimal point under the ambient context."""
+        ctx = getcontext()
+        key = (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax)
+        cache = self._hp
+        if cache is None:
+            cache = {}
+            _set(self, "_hp", cache)
+        cs = cache.get(key)
+        if cs is None:
+            den = Decimal(self._den)
+            cs = cache[key] = tuple(Decimal(a) / den for a in reversed(self._num))
+        # Start from zero, not from the leading coefficient: the start sets
+        # the exponent, hence the printed digits, of exact results.
         acc = Decimal(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + Decimal(c.numerator) / Decimal(c.denominator)
+        for c in cs:
+            acc = acc * x + c
         return acc
 
     def integral_01(self) -> Fraction:
@@ -196,12 +307,24 @@ class RatPoly:
         )
 
     def compose_affine(self, a: Fraction | int, b: Fraction | int) -> "RatPoly":
-        """Return the polynomial self(a*x + b), exactly."""
-        arg = RatPoly((Fraction(b), Fraction(a)))
-        out = RatPoly.zero()
-        for c in reversed(self.coeffs):
-            out = out * arg + RatPoly((c,))
-        return out
+        """Return the polynomial self(a*x + b), exactly.
+
+        With a*x + b = (c0 + c1*x)/d, Horner runs homogeneously on the
+        integer linear form c0 + c1*x, and d**degree joins the denominator.
+        """
+        a, b = Fraction(a), Fraction(b)
+        d = a.denominator * b.denominator
+        c0, c1 = b.numerator * a.denominator, a.numerator * b.denominator
+        num = self._num
+        if not num:
+            return RatPoly.zero()
+        acc = [num[-1]]
+        dk = 1
+        for coef in reversed(num[:-1]):
+            dk *= d
+            acc = [c0 * x + c1 * y for x, y in zip(acc + [0], [0] + acc)]
+            acc[0] += coef * dk
+        return _make(acc, self._den * dk)
 
 
 def poly_ext_gcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:

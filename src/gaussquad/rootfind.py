@@ -59,10 +59,9 @@ def _isolate_unit_interval(q: RatPoly) -> list[tuple[Fraction, Fraction]]:
     if want == 0:
         return []
     panels = 16
-    seen = 0
-    while panels <= _MAX_PANELS:
-        grid = [Fraction(j, panels) for j in range(panels + 1)]
-        vals = [q.eval(x) for x in grid]
+    grid = [Fraction(j, panels) for j in range(panels + 1)]
+    vals = [q.eval(x) for x in grid]
+    while True:
         brackets: list[tuple[Fraction, Fraction]] = []
         for j in range(panels):
             if vals[j] == 0:
@@ -75,13 +74,18 @@ def _isolate_unit_interval(q: RatPoly) -> list[tuple[Fraction, Fraction]]:
         seen = len(brackets)
         if seen == want:
             return brackets
-        if seen > want:
-            # More crossings than roots would mean a non-real-rooted input.
+        # More crossings than roots would mean a non-real-rooted input.
+        if seen > want or panels == _MAX_PANELS:
             break
+        # Double the panels: the old grid points are the even ones of the
+        # new grid, so only the odd ones need evaluating.
         panels *= 2
+        odd = [Fraction(j, panels) for j in range(1, panels, 2)]
+        grid = [x for pair in zip(grid, odd) for x in pair] + [grid[-1]]
+        vals = [v for pair in zip(vals, [q.eval(x) for x in odd]) for v in pair] + [vals[-1]]
     raise RootIsolationError(
         f"root isolation failed: expected {want} sign changes in (0, 1), "
-        f"found {seen} with up to {min(panels, _MAX_PANELS)} panels"
+        f"found {seen} with up to {panels} panels"
     )
 
 

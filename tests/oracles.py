@@ -198,3 +198,106 @@ def demo_gauss_totals() -> tuple[Decimal, ...]:
     if abs(totals[6] - DEMO_EXACT_7) > Decimal("1e-10"):
         raise AssertionError(f"demo oracle n=6: {totals[6]} vs {DEMO_EXACT_7}")
     return tuple(totals)
+
+
+# -- plain-Fraction polynomial reference ---------------------------------------
+#
+# Coefficient tuples ascending by degree, one Fraction per coefficient and no
+# trailing zeros: the textbook algorithms, with none of RatPoly's integer
+# kernel or caches, for property tests of it.
+
+
+def frac_poly(coeffs) -> tuple[Fraction, ...]:
+    """Canonical coefficient tuple: Fractions, trailing zeros stripped."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def frac_sub(a, b) -> tuple[Fraction, ...]:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return frac_poly(x - y for x, y in zip(a, b))
+
+
+def frac_mul(a, b) -> tuple[Fraction, ...]:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return frac_poly(out)
+
+
+def frac_scale(a, c) -> tuple[Fraction, ...]:
+    return frac_poly(x * c for x in a)
+
+
+def frac_divrem(f, g) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Long division f = q*g + r with deg r < deg g."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f)
+    dg = len(g) - 1
+    if len(rem) <= dg:
+        return (), frac_poly(rem)
+    quot = [Fraction(0)] * (len(rem) - dg)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        factor = rem[i] / g[-1]
+        quot[i - dg] = factor
+        for j, c in enumerate(g):
+            rem[i - dg + j] -= factor * c
+    return frac_poly(quot), frac_poly(rem[:dg])
+
+
+def frac_eval(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * Fraction(x) + c
+    return acc
+
+
+def frac_eval_hp(a, x: Decimal) -> Decimal:
+    """Horner under the ambient context, converting each coefficient anew."""
+    acc = Decimal(0)
+    for c in reversed(a):
+        acc = acc * x + Decimal(c.numerator) / Decimal(c.denominator)
+    return acc
+
+
+def frac_ext_gcd(a, b):
+    """Extended Euclid with monic remainders: (g, s, t) with s*a + t*b = g."""
+    r0, s0, t0 = a, (Fraction(1),), ()
+    r1, s1, t1 = b, (), (Fraction(1),)
+    while r1:
+        q, r = frac_divrem(r0, r1)
+        s, t = frac_sub(s0, frac_mul(q, s1)), frac_sub(t0, frac_mul(q, t1))
+        if r:
+            inv = 1 / r[-1]
+            r, s, t = frac_scale(r, inv), frac_scale(s, inv), frac_scale(t, inv)
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s, t
+    if r0 and r0[-1] != 1:
+        inv = 1 / r0[-1]
+        r0, s0, t0 = frac_scale(r0, inv), frac_scale(s0, inv), frac_scale(t0, inv)
+    return r0, s0, t0
+
+
+def frac_mod_inverse_eval(Z, zeta, zetap) -> tuple[Fraction, ...]:
+    """Z * zeta^(-1) reduced modulo zetap; zeta and zetap must be coprime."""
+    g, s, _ = frac_ext_gcd(zeta, zetap)
+    if len(g) != 1:
+        raise ValueError("zeta and zetap share a root")
+    return frac_divrem(frac_mul(Z, s), zetap)[1]
+
+
+def monic_legendre_coeffs(m: int) -> tuple[Fraction, ...]:
+    """Coefficients of the monic Legendre polynomial of degree m, closed form:
+    (-1)^k C(m,k) C(2m-2k,m) / C(2m,m) at x^(m-2k)."""
+    out = [Fraction(0)] * (m + 1)
+    for k in range(m // 2 + 1):
+        out[m - 2 * k] = Fraction(
+            (-1) ** k * math.comb(m, k) * math.comb(2 * m - 2 * k, m), math.comb(2 * m, m)
+        )
+    return tuple(out)

@@ -180,6 +180,14 @@ class TestIntegrate:
         assert obj["value"] == "0.5000000000000000"
         assert obj["exact_value"] == "1/2"
 
+    @pytest.mark.parametrize("flag, value", [("--from", "NaN"), ("--from", "-Infinity"),
+                                             ("--width", "Infinity"), ("--width", "sNaN")])
+    def test_non_finite_interval_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["integrate", "--rule", "gauss", "--n", "2", "--fn", "runge", flag, value])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestSamples:
     def write_samples(self, tmp_path, lines):
@@ -226,6 +234,39 @@ class TestSamples:
             str(tmp_path / "nope.txt"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "bad, why",
+        [
+            ("NaN", "not a finite number"),
+            ("-nan", "not a finite number"),
+            ("sNaN", "not a finite number"),
+            ("Infinity", "not a finite number"),
+            ("-Inf", "not a finite number"),
+            ("1e999999999", "overflows"),
+            ("-9.999999999999999999999999999999999999999999999999999999999999999e999999",
+             "overflows"),
+        ],
+    )
+    def test_non_finite_or_overflowing_sample_exits_3(self, capsys, tmp_path, bad, why):
+        path = self.write_samples(tmp_path, ["1", bad, "1"])
+        code, out, err = run_cli(
+            capsys, "integrate", "--rule", "gauss", "--n", "2", "--samples", path
+        )
+        assert code == 3
+        assert out == ""
+        assert bad in err and why in err
+
+    def test_overflowing_weighted_sum_exits_3(self, capsys, tmp_path):
+        # Each sample fits the exponent range; twice their weighted sum does not.
+        path = self.write_samples(tmp_path, ["9e999999"] * 3)
+        code, out, err = run_cli(
+            capsys, "integrate", "--rule", "gauss", "--n", "2", "--samples", path,
+            "--width", "2",
+        )
+        assert code == 3
+        assert out == ""
+        assert "overflows" in err
 
 
 class TestErrorCoeffs:

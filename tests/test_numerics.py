@@ -148,6 +148,11 @@ class TestRendering:
     def test_format_sig(self, value, sig, expected):
         assert format_sig(value, sig) == expected
 
+    @pytest.mark.parametrize("value", ["NaN", "-NaN", "sNaN", "Infinity", "-Infinity"])
+    def test_format_sig_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_sig(Decimal(value), 16)
+
     def test_format_fixed(self):
         assert format_fixed(Decimal("8390.39460796686"), 6) == "8390.394608"
         assert format_fixed(Decimal("8406.2431208437"), 7) == "8406.2431208"

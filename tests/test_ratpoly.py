@@ -1,13 +1,26 @@
 """Exact polynomial algebra: construction, division, modular inverses, integrals."""
 
-from decimal import Context, Decimal, localcontext
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussquad.gausscf import legendre_pair, weight_polynomial
 from gaussquad.ratpoly import RatPoly, mod_inverse_eval, poly_ext_gcd
+from oracles import (
+    frac_divrem,
+    frac_eval,
+    frac_eval_hp,
+    frac_ext_gcd,
+    frac_mod_inverse_eval,
+    frac_mul,
+    frac_poly,
+    frac_sub,
+    monic_legendre_coeffs,
+)
 
 F = Fraction
 
@@ -193,3 +206,122 @@ class TestAffine:
         assert poly(F(1, 6), -1, 1).format("t") == "t^2 - t + 1/6"
         assert RatPoly.zero().format() == "0"
         assert poly(0, F(-3, 5), 0, 1).format("u") == "u^3 - 3/5*u"
+
+
+def assert_canonical(p: RatPoly, want: tuple) -> None:
+    """p holds exactly the reference coefficients, in canonical form."""
+    assert p.coeffs == want
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.degree == len(want) - 1
+    assert p == RatPoly(want) and hash(p) == hash(RatPoly(want))
+    # Integer kernel: positive common denominator, primitive numerators.
+    assert p._den > 0
+    assert gcd(p._den, *p._num) == 1 if p._num else p._den == 1
+
+
+wide_rationals = st.fractions(
+    min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6
+)
+wide_lists = st.lists(wide_rationals, min_size=0, max_size=9)
+
+
+class TestIntegerKernelAgainstFractionReference:
+    """RatPoly against the plain-Fraction algorithms of oracles.py."""
+
+    @given(f=wide_lists, g=wide_lists)
+    @settings(max_examples=150)
+    def test_mul_sub_divrem(self, f, g):
+        fp, gp = RatPoly(f), RatPoly(g)
+        rf, rg = frac_poly(f), frac_poly(g)
+        assert_canonical(fp, rf)
+        assert_canonical(fp * gp, frac_mul(rf, rg))
+        assert_canonical(fp - gp, frac_sub(rf, rg))
+        assert_canonical(-gp, frac_sub((), rg))
+        if rg:
+            q, r = fp.divrem(gp)
+            rq, rr = frac_divrem(rf, rg)
+            assert_canonical(q, rq)
+            assert_canonical(r, rr)
+
+    @given(f=wide_lists, x=wide_rationals)
+    @settings(max_examples=150)
+    def test_eval(self, f, x):
+        assert RatPoly(f).eval(x) == frac_eval(frac_poly(f), x)
+
+    @given(f=wide_lists, a=wide_rationals, b=wide_rationals, x=small_rationals)
+    @settings(max_examples=100)
+    def test_compose_affine(self, f, a, b, x):
+        got = RatPoly(f).compose_affine(a, b)
+        if a:
+            assert got.degree == len(frac_poly(f)) - 1
+        assert got.eval(x) == frac_eval(frac_poly(f), a * x + b)
+
+    @given(f=coeff_lists, g=coeff_lists)
+    @settings(max_examples=100)
+    def test_ext_gcd(self, f, g):
+        got = poly_ext_gcd(RatPoly(f), RatPoly(g))
+        for p, want in zip(got, frac_ext_gcd(frac_poly(f), frac_poly(g))):
+            assert_canonical(p, want)
+
+    @given(
+        zp_roots=st.lists(small_rationals, min_size=1, max_size=6, unique=True),
+        z=coeff_lists,
+        zeta_roots=st.lists(
+            st.integers(min_value=64, max_value=200).map(lambda k: F(k, 7)), max_size=5
+        ),
+    )
+    @settings(max_examples=100)
+    def test_mod_inverse_eval(self, zp_roots, z, zeta_roots):
+        # Roots of zeta lie above 9, those of zetap within [-8, 8]: coprime.
+        zetap = RatPoly.from_roots(zp_roots)
+        zeta = RatPoly.from_roots(zeta_roots).scale(F(3, 5))
+        got = mod_inverse_eval(RatPoly(z), zeta, zetap)
+        want = frac_mod_inverse_eval(frac_poly(z), zeta.coeffs, zetap.coeffs)
+        assert_canonical(got, want)
+
+    def test_equal_polynomials_from_different_routes(self):
+        p = RatPoly([F(1, 6), F(-5, 4), F(7, 3)])
+        via_product = (p * RatPoly([F(2, 9), 3])).divrem(RatPoly([F(2, 9), 3]))[0]
+        via_sum = (p + p).scale(F(1, 2))
+        via_compose = p.compose_affine(2, -1).compose_affine(F(1, 2), F(1, 2))
+        for other in (via_product, via_sum, via_compose):
+            assert_canonical(other, p.coeffs)
+        assert len({p, via_product, via_sum, via_compose}) == 1
+
+    @given(f=wide_lists, x=st.decimals(min_value=-2, max_value=2, places=30))
+    @settings(max_examples=80)
+    def test_eval_hp_cache_follows_context(self, f, x):
+        # One instance, evaluated under several contexts in turn: every
+        # result must be the reference's, bit for bit, so a cache entry
+        # served under the wrong precision or rounding shows.
+        p, ref = RatPoly(f), frac_poly(f)
+        contexts = [
+            Context(prec=30, rounding=ROUND_HALF_EVEN),
+            Context(prec=60, rounding=ROUND_HALF_EVEN),
+            Context(prec=30, rounding=ROUND_DOWN),
+            Context(prec=30, rounding=ROUND_HALF_EVEN),
+        ]
+        for ctx in contexts:
+            with localcontext(ctx):
+                got, want = p.eval_hp(x), frac_eval_hp(ref, x)
+            assert str(got) == str(want)
+
+
+class TestLargeOrderExact:
+    """The exact layer beyond the n <= 12 the rest of the suite covers."""
+
+    @pytest.mark.parametrize("m", [29, 53, 77, 101])
+    def test_legendre_denominator_closed_form(self, m):
+        assert legendre_pair(m).denominator.coeffs == monic_legendre_coeffs(m)
+
+    @pytest.mark.parametrize("n", [28, 52, 76, 100])
+    def test_weight_polynomial_congruence(self, n):
+        # weight_polynomial(n) * W' == V modulo W, checked with the
+        # plain-Fraction reference rather than the kernel under test.
+        pair = legendre_pair(n + 1)
+        w = pair.denominator.coeffs
+        wd = pair.denominator.derivative().coeffs
+        wp = weight_polynomial(n)
+        assert wp.degree <= n
+        diff = frac_sub(frac_mul(wp.coeffs, wd), pair.numerator.coeffs)
+        assert frac_divrem(diff, w)[1] == ()
