@@ -19,7 +19,7 @@ import io
 import json
 import os
 import sys
-from decimal import Decimal, InvalidOperation, Overflow, localcontext
+from decimal import Decimal, InvalidOperation, Overflow, Underflow, localcontext
 from fractions import Fraction
 
 from .gausscf import (
@@ -43,10 +43,12 @@ from .interprule import (
 from .momseries import moment_series_t, product_split
 from .numerics import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     MIN_PRECISION,
     format_fixed,
     format_sig,
     hp_log10_scaled,
+    resolve_precision,
     to_hp,
     working_context,
 )
@@ -58,8 +60,18 @@ DEMO_WIDTH = 100000
 BESSEL_REFERENCE = "8406.24312"
 
 
+class DataError(Exception):
+    """Bad input data or an integrand that fails on it; ``main`` exits 3."""
+
+
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _rat_str(x: Fraction) -> str:
@@ -143,9 +155,7 @@ def _tables_json(entries) -> str:
 
 
 def _tables_csv(entries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
+    rows = [
         [
             "n",
             "node_index",
@@ -156,10 +166,10 @@ def _tables_csv(entries) -> str:
             "leading_error_rational",
             "leading_error_decimal",
         ]
-    )
+    ]
     for e in entries:
         for j in range(e["points"]):
-            writer.writerow(
+            rows.append(
                 [
                     e["n"],
                     j,
@@ -171,7 +181,7 @@ def _tables_csv(entries) -> str:
                     e["k_first_dec"],
                 ]
             )
-    return buf.getvalue()
+    return _csv(rows)
 
 
 def cmd_tables(n_min: int, n_max: int, fmt: str, prec: int) -> str:
@@ -219,8 +229,28 @@ def _build_rule(kind: str, n: int, prec: int) -> QuadRule:
     return newton_cotes(n, prec)
 
 
-def _read_samples(path: str, kind: str, n: int, prec: int):
+def _parse_decimal(text: str, what: str, prec: int) -> Decimal:
+    """Decimal(text), unchanged, if it is finite and ``working_context(prec)`` holds it.
+
+    Raises ValueError otherwise, naming an overflow or an underflow of that context."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"{what} {text!r} is not a decimal number") from None
+    if not value.is_finite():
+        raise ValueError(f"{what} {text!r} is not a finite number")
     ctx = working_context(prec)
+    ctx.traps[Underflow] = True
+    try:
+        ctx.plus(value)
+    except Overflow:
+        raise ValueError(f"{what} {text!r} overflows the decimal exponent range") from None
+    except Underflow:
+        raise ValueError(f"{what} {text!r} underflows the decimal exponent range") from None
+    return value
+
+
+def _read_samples(path: str, kind: str, n: int, prec: int):
     values = []
     header_checks = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -231,14 +261,7 @@ def _read_samples(path: str, kind: str, n: int, prec: int):
             if line.startswith("#"):
                 header_checks.append(line.lstrip("#").split())
                 continue
-            value = Decimal(line)
-            if not value.is_finite():
-                raise ValueError(f"sample {line!r} is not a finite number")
-            try:
-                ctx.plus(value)
-            except Overflow:
-                raise ValueError(f"sample {line!r} overflows the decimal exponent range") from None
-            values.append(value)
+            values.append(_parse_decimal(line, "sample", prec))
     for tokens in header_checks:
         if not tokens or tokens[0] != "rule":
             continue
@@ -251,14 +274,13 @@ def _read_samples(path: str, kind: str, n: int, prec: int):
 
 
 def cmd_integrate(args, parser) -> int:
+    """Write the integral to stdout; data errors raise DataError."""
     prec = args.prec
     try:
-        start = Decimal(args.start)
-        width = Decimal(args.width)
-    except InvalidOperation:
-        parser.error(f"--from/--width must be decimal numbers, got {args.start!r}/{args.width!r}")
-    if not (start.is_finite() and width.is_finite()):
-        parser.error(f"--from/--width must be finite, got {args.start!r}/{args.width!r}")
+        start = _parse_decimal(args.start, "--from", prec)
+        width = _parse_decimal(args.width, "--width", prec)
+    except ValueError as exc:
+        parser.error(str(exc))
     if width == 0:
         parser.error("--width must be nonzero")
     rule = _build_rule(args.rule, args.n, prec)
@@ -266,26 +288,18 @@ def cmd_integrate(args, parser) -> int:
     if args.samples:
         try:
             values = _read_samples(args.samples, args.rule, args.n, prec)
-        except (OSError, InvalidOperation, ValueError) as exc:
-            print(f"error: bad samples file: {exc}", file=sys.stderr)
-            return 3
+        except (OSError, ValueError) as exc:
+            raise DataError(f"bad samples file: {exc}") from None
         if len(values) != rule.npoints:
-            print(
-                f"error: samples file has {len(values)} values, "
-                f"rule needs {rule.npoints}",
-                file=sys.stderr,
-            )
-            return 3
+            raise DataError(f"samples file has {len(values)} values, rule needs {rule.npoints}")
         try:
             with localcontext(working_context(prec)):
-                total = width * sum(
+                value = width * sum(
                     (w * a for w, a in zip(rule.weights, values)), Decimal(0)
                 )
         except Overflow:
-            print("error: the weighted sum of the samples overflows the decimal "
-                  "exponent range", file=sys.stderr)
-            return 3
-        result = {"rule": args.rule, "n": args.n, "value": format_sig(total, 16)}
+            raise DataError("the weighted sum of the samples overflows the decimal "
+                            "exponent range") from None
     else:
         if not args.fn:
             parser.error("one of --fn or --samples is required")
@@ -294,26 +308,27 @@ def cmd_integrate(args, parser) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        value = apply_rule(rule, f, start, width, prec)
-        result = {"rule": args.rule, "n": args.n, "value": format_sig(value, 16)}
-        if args.fn.startswith("poly:") and start == 0 and width == 1:
-            poly = parse_poly_spec(args.fn)
-            ks = error_coefficients(rule, poly.degree + 1, prec)
-            err = sum(
-                (ks[m] * c for m, c in enumerate(poly.coeffs)), Fraction(0)
-            )
-            truth = poly.integral_01()
-            result["exact_value"] = _rat_str(truth - err)
-            result["exact_error"] = _rat_str(err)
-            result["true_integral"] = _rat_str(truth)
+        try:
+            value = apply_rule(rule, f, start, width, prec)
+        except RuntimeError as exc:
+            raise DataError(str(exc)) from None
+        except Overflow:
+            raise DataError("the integral overflows the decimal exponent range") from None
+    result = {"rule": args.rule, "n": args.n, "value": format_sig(value, 16)}
+    if not args.samples and args.fn.startswith("poly:") and start == 0 and width == 1:
+        poly = parse_poly_spec(args.fn)
+        ks = error_coefficients(rule, poly.degree + 1, prec)
+        err = sum(
+            (ks[m] * c for m, c in enumerate(poly.coeffs)), Fraction(0)
+        )
+        truth = poly.integral_01()
+        result["exact_value"] = _rat_str(truth - err)
+        result["exact_error"] = _rat_str(err)
+        result["true_integral"] = _rat_str(truth)
     if fmt == "json":
         sys.stdout.write(_json_dumps(result))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(list(result.keys()))
-        writer.writerow(list(result.values()))
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(_csv([list(result.keys()), list(result.values())]))
     else:
         for key, val in result.items():
             sys.stdout.write(f"{key}={val}\n")
@@ -336,12 +351,7 @@ def cmd_error_coeffs(rule_kind: str, n: int, count: int, fmt: str, prec: int) ->
             }
         )
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["m", "k"])
-        for m, k in enumerate(ks.k):
-            writer.writerow([m, _rat_str(k)])
-        return buf.getvalue()
+        return _csv([["m", "k"]] + [[m, _rat_str(k)] for m, k in enumerate(ks.k)])
     lines = [f"k[{m}]={_rat_str(k)}" for m, k in enumerate(ks.k)]
     return "\n".join(lines) + "\n"
 
@@ -361,8 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=None,
-        help=f"significant decimal digits (default {DEFAULT_PRECISION}, min {MIN_PRECISION}; "
-        "QUAD_PRECISION env var also honored)",
+        help=f"significant decimal digits (default {DEFAULT_PRECISION}, min {MIN_PRECISION}, "
+        f"max {MAX_PRECISION}; QUAD_PRECISION env var also honored)",
     )
     common.add_argument(
         "--format",
@@ -408,9 +418,10 @@ def _resolve_cli_precision(args, parser) -> int:
                 parser.error(f"QUAD_PRECISION must be an integer, got {env!r}")
         else:
             prec = DEFAULT_PRECISION
-    if prec < MIN_PRECISION:
-        parser.error(f"precision must be at least {MIN_PRECISION}, got {prec}")
-    return prec
+    try:
+        return resolve_precision(prec)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def main(argv=None) -> int:
@@ -430,18 +441,19 @@ def main(argv=None) -> int:
         sys.stdout.write(cmd_demo(args.n_max, args.prec))
         return 0
 
+    if args.command in ("integrate", "error-coeffs"):
+        lowest = 0 if args.rule == "gauss" else 1
+        if not (lowest <= args.n <= MAX_ORDER):
+            parser.error(f"{args.rule} rules support {lowest} <= n <= {MAX_ORDER}")
+
     if args.command == "integrate":
-        if args.rule == "gauss" and not (0 <= args.n <= MAX_ORDER):
-            parser.error(f"gauss rules support 0 <= n <= {MAX_ORDER}")
-        if args.rule == "cotes" and not (1 <= args.n <= MAX_ORDER):
-            parser.error(f"cotes rules support 1 <= n <= {MAX_ORDER}")
-        return cmd_integrate(args, parser)
+        try:
+            return cmd_integrate(args, parser)
+        except DataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
     if args.command == "error-coeffs":
-        if args.rule == "gauss" and not (0 <= args.n <= MAX_ORDER):
-            parser.error(f"gauss rules support 0 <= n <= {MAX_ORDER}")
-        if args.rule == "cotes" and not (1 <= args.n <= MAX_ORDER):
-            parser.error(f"cotes rules support 1 <= n <= {MAX_ORDER}")
         if not (1 <= args.K <= 64):
             parser.error("need 1 <= K <= 64")
         sys.stdout.write(

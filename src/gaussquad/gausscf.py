@@ -20,8 +20,7 @@ from decimal import localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-from .interprule import T01, U11, QuadRule, to_convention
-from .momseries import moment_series_t, moment_series_u
+from .interprule import T01, U11, QuadRule, _moments, to_convention
 from .numerics import resolve_precision, round_to, working_context
 from .ratpoly import RatPoly, mod_inverse_eval
 from .rootfind import real_roots_symmetric
@@ -161,13 +160,7 @@ def annihilating_node_poly(n: int, convention: str = T01) -> RatPoly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    count = 2 * (n + 1) + 1
-    if convention == T01:
-        mu = moment_series_t(count).coeffs
-    elif convention == U11:
-        mu = moment_series_u(count).coeffs
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+    mu = _moments(convention, 2 * (n + 1) + 1).coeffs
     size = n + 1
     matrix = [[mu[q + i] for i in range(size)] for q in range(size)]
     rhs = [-mu[q + size] for q in range(size)]

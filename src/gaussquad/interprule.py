@@ -22,7 +22,7 @@ must agree; a disagreement signals an internal bug and raises.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 from . import numerics
 from .momseries import (
     SeriesTail,
+    cauchy_expansion_of_rule,
     divide_tail_by_poly,
     moment_series_t,
     moment_series_u,
@@ -41,7 +42,7 @@ from .ratpoly import RatPoly
 T01 = "t01"
 U11 = "u11"
 
-_INTERVALS = {T01: (Fraction(0), Fraction(1)), U11: (Fraction(-1), Fraction(1))}
+_INTERVALS = {T01: (0, 1), U11: (-1, 1)}
 
 
 def _moments(convention: str, count: int) -> SeriesTail:
@@ -50,12 +51,6 @@ def _moments(convention: str, count: int) -> SeriesTail:
     if convention == U11:
         return moment_series_u(count)
     raise ValueError(f"unknown convention {convention!r}")
-
-
-def _exact_moment(convention: str, m: int) -> Fraction:
-    if convention == T01:
-        return Fraction(1, m + 1)
-    return Fraction(1, m + 1) if m % 2 == 0 else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -139,10 +134,8 @@ def _hp_derivative(coeffs: Sequence[Decimal]) -> list[Decimal]:
 
 def _check_interval(nodes, convention: str) -> None:
     lo, hi = _INTERVALS[convention]
-    lo_d, hi_d = Decimal(int(lo)), Decimal(int(hi))
     for a in nodes:
-        outside = (a < lo or a > hi) if isinstance(a, Fraction) else (a < lo_d or a > hi_d)
-        if outside:
+        if a < lo or a > hi:
             warnings.warn(
                 f"node {a} lies outside the {convention} interval; rule is still defined",
                 RuntimeWarning,
@@ -165,48 +158,37 @@ def interpolatory_rule(
         raise ValueError("at least one node is required")
     prec = resolve_precision(prec)
     exact = all(isinstance(a, (int, Fraction)) for a in nodes)
-    if exact:
-        pts = sorted(Fraction(a) for a in nodes)
-        if any(a == b for a, b in zip(pts, pts[1:])):
-            raise ValueError("duplicate nodes")
-        _check_interval(pts, convention)
-        node_poly = RatPoly.from_roots(pts)
-        tprime, _ = product_split(node_poly, _moments(convention, len(pts)), tail_len=0)
-        deriv = node_poly.derivative()
-        wts = [tprime.eval(a) / deriv.eval(a) for a in pts]
-        with localcontext(working_context(prec)):
-            nodes_hp = tuple(round_to(_as_decimal(a), prec) for a in pts)
-            wts_hp = tuple(round_to(_as_decimal(w), prec) for w in wts)
-        return QuadRule(
-            convention=convention,
-            nodes=nodes_hp,
-            weights=wts_hp,
-            nodes_exact=tuple(pts),
-            weights_exact=tuple(wts),
-            nodepoly=node_poly,
-            degree=len(pts) - 1,
-        )
     with localcontext(working_context(prec)):
-        pts = sorted(_as_decimal(a) for a in nodes)
+        pts = sorted(Fraction(a) if exact else _as_decimal(a) for a in nodes)
         if any(a == b for a, b in zip(pts, pts[1:])):
             raise ValueError("duplicate nodes")
         _check_interval(pts, convention)
-        coeffs = _hp_from_roots(pts)
-        d = len(coeffs) - 1
-        mu = [_as_decimal(m) for m in _moments(convention, d).coeffs]
-        tprime = [
-            sum((coeffs[i] * mu[i - p - 1] for i in range(p + 1, d + 1)), Decimal(0))
-            for p in range(d)
-        ]
-        deriv = _hp_derivative(coeffs)
-        wts = [_hp_eval(tprime, a) / _hp_eval(deriv, a) for a in pts]
-        nodes_hp = tuple(round_to(a, prec) for a in pts)
-        wts_hp = tuple(round_to(w, prec) for w in wts)
+        if exact:
+            node_poly = RatPoly.from_roots(pts)
+            tprime, _ = product_split(node_poly, _moments(convention, len(pts)), tail_len=0)
+            deriv = node_poly.derivative()
+            wts = [tprime.eval(a) / deriv.eval(a) for a in pts]
+        else:
+            node_poly = None
+            coeffs = _hp_from_roots(pts)
+            d = len(coeffs) - 1
+            mu = [_as_decimal(m) for m in _moments(convention, d).coeffs]
+            tprime = [
+                sum((coeffs[i] * mu[i - p - 1] for i in range(p + 1, d + 1)), Decimal(0))
+                for p in range(d)
+            ]
+            deriv = _hp_derivative(coeffs)
+            wts = [_hp_eval(tprime, a) / _hp_eval(deriv, a) for a in pts]
+        nodes_hp = tuple(round_to(_as_decimal(a), prec) for a in pts)
+        wts_hp = tuple(round_to(_as_decimal(w), prec) for w in wts)
     return QuadRule(
         convention=convention,
         nodes=nodes_hp,
         weights=wts_hp,
-        degree=len(nodes_hp) - 1,
+        nodes_exact=tuple(pts) if exact else None,
+        weights_exact=tuple(wts) if exact else None,
+        nodepoly=node_poly,
+        degree=len(pts) - 1,
     )
 
 
@@ -219,16 +201,7 @@ def newton_cotes(n: int, prec: int | None = None) -> QuadRule:
     if n < 1:
         raise ValueError("closed Newton-Cotes rules need n >= 1")
     rule = interpolatory_rule([Fraction(i, n) for i in range(n + 1)], T01, prec)
-    degree = n + 1 if n % 2 == 0 else n
-    return QuadRule(
-        convention=rule.convention,
-        nodes=rule.nodes,
-        weights=rule.weights,
-        nodes_exact=rule.nodes_exact,
-        weights_exact=rule.weights_exact,
-        nodepoly=rule.nodepoly,
-        degree=degree,
-    )
+    return replace(rule, degree=n + 1 if n % 2 == 0 else n)
 
 
 def error_coefficients(rule: QuadRule, count: int, prec: int | None = None) -> ErrorSeries:
@@ -249,31 +222,34 @@ def error_coefficients(rule: QuadRule, count: int, prec: int | None = None) -> E
     moments = _moments(rule.convention, max(count, D))
     _, tail = product_split(node_poly, moments, tail_len=max(count - D, 0))
     theta = divide_tail_by_poly(tail, node_poly, count)
-    if rule.nodes_exact is not None and rule.weights_exact is not None:
-        powers = [Fraction(1)] * rule.npoints
+    # The rule's own moments take the exact path exactly when the rule is exact.
+    exact = rule.nodes_exact is not None and rule.weights_exact is not None
+    conv, tol = (Fraction, 0) if exact else (_as_decimal, Decimal(1).scaleb(-(prec - 8)))
+    with localcontext(working_context(prec)):
+        sums = cauchy_expansion_of_rule(rule, count)
         for m in range(count):
-            direct = _exact_moment(rule.convention, m) - sum(
-                (w * p for w, p in zip(rule.weights_exact, powers)), Fraction(0)
-            )
-            if direct != theta[m]:
+            direct = conv(moments[m]) - sums[m]
+            if abs(direct - conv(theta[m])) > tol:
                 raise ArithmeticError(
                     f"error coefficient mismatch at m={m}: direct {direct}, series {theta[m]}"
                 )
-            powers = [p * a for p, a in zip(powers, rule.nodes_exact)]
-    else:
-        tol = Decimal(1).scaleb(-(prec - 8))
-        with localcontext(working_context(prec)):
-            powers = [Decimal(1)] * rule.npoints
-            for m in range(count):
-                direct = _as_decimal(_exact_moment(rule.convention, m)) - sum(
-                    (w * p for w, p in zip(rule.weights, powers)), Decimal(0)
-                )
-                if abs(direct - _as_decimal(theta[m])) > tol:
-                    raise ArithmeticError(
-                        f"error coefficient mismatch at m={m}: direct {direct}, series {theta[m]}"
-                    )
-                powers = [p * a for p, a in zip(powers, rule.nodes)]
     return ErrorSeries(k=tuple(theta.coeffs), convention=rule.convention)
+
+
+def _node_values(rule: QuadRule, f: Callable[[Decimal], Decimal], g, delta):
+    # Ambient context.  Yields (delta, R_j, f(x_j)) with node j mapped into
+    # [g, g+delta]: x = g + delta*a for T01, x = g + delta*(u+1)/2 for U11.
+    gd = _as_decimal(g)
+    dd = _as_decimal(delta)
+    if dd == 0:
+        raise ValueError("delta must be nonzero")
+    for j, (a, w) in enumerate(zip(rule.nodes, rule.weights)):
+        x = gd + dd * a if rule.convention == T01 else gd + dd * (a + 1) / 2
+        try:
+            y = f(x)
+        except Exception as exc:
+            raise RuntimeError(f"integrand evaluation failed at node {j} (x={x})") from exc
+        yield dd, w, y
 
 
 def apply_rule(
@@ -291,19 +267,8 @@ def apply_rule(
     """
     prec = resolve_precision(prec)
     with localcontext(working_context(prec)):
-        gd = _as_decimal(g)
-        dd = _as_decimal(delta)
-        if dd == 0:
-            raise ValueError("delta must be nonzero")
         acc = Decimal(0)
-        for j, (a, w) in enumerate(zip(rule.nodes, rule.weights)):
-            x = gd + dd * a if rule.convention == T01 else gd + dd * (a + 1) / 2
-            try:
-                y = f(x)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"integrand evaluation failed at node {j} (x={x})"
-                ) from exc
+        for dd, w, y in _node_values(rule, f, g, delta):
             acc += w * y
         out = dd * acc
     return round_to(out, prec)
@@ -319,21 +284,7 @@ def node_terms(
     """Per-node contributions delta * R_j * f(x_j), in node order."""
     prec = resolve_precision(prec)
     with localcontext(working_context(prec)):
-        gd = _as_decimal(g)
-        dd = _as_decimal(delta)
-        if dd == 0:
-            raise ValueError("delta must be nonzero")
-        out = []
-        for j, (a, w) in enumerate(zip(rule.nodes, rule.weights)):
-            x = gd + dd * a if rule.convention == T01 else gd + dd * (a + 1) / 2
-            try:
-                y = f(x)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"integrand evaluation failed at node {j} (x={x})"
-                ) from exc
-            out.append(round_to(dd * w * y, prec))
-    return out
+        return [round_to(dd * w * y, prec) for dd, w, y in _node_values(rule, f, g, delta)]
 
 
 def to_convention(rule: QuadRule, convention: str, prec: int | None = None) -> QuadRule:
@@ -343,38 +294,22 @@ def to_convention(rule: QuadRule, convention: str, prec: int | None = None) -> Q
     if rule.convention == convention:
         return rule
     prec = resolve_precision(prec)
-    deg = rule.npoints
-    if rule.convention == U11:
-        map_exact = lambda b: (b + 1) / 2
-        node_poly = (
-            rule.nodepoly.compose_affine(2, -1).scale(Fraction(1, 2**deg))
-            if rule.nodepoly is not None
-            else None
-        )
-        with localcontext(working_context(prec)):
-            nodes_hp = tuple(round_to((b + 1) / 2, prec) for b in rule.nodes)
+    # to_new maps Fraction and Decimal nodes alike; the old variable is
+    # scale * new + shift, which carries the node polynomial across.
+    if convention == T01:
+        to_new, scale, shift = (lambda b: (b + 1) / 2), 2, -1
     else:
-        map_exact = lambda a: 2 * a - 1
-        node_poly = (
-            rule.nodepoly.compose_affine(Fraction(1, 2), Fraction(1, 2)).scale(2**deg)
-            if rule.nodepoly is not None
-            else None
-        )
-        with localcontext(working_context(prec)):
-            nodes_hp = tuple(round_to(2 * a - 1, prec) for a in rule.nodes)
-    nodes_exact = (
-        tuple(map_exact(b) for b in rule.nodes_exact)
-        if rule.nodes_exact is not None
-        else None
-    )
-    return QuadRule(
+        to_new, scale, shift = (lambda a: 2 * a - 1), Fraction(1, 2), Fraction(1, 2)
+    with localcontext(working_context(prec)):
+        nodes_hp = tuple(round_to(to_new(x), prec) for x in rule.nodes)
+    return replace(
+        rule,
         convention=convention,
         nodes=nodes_hp,
-        weights=rule.weights,
-        nodes_exact=nodes_exact,
-        weights_exact=rule.weights_exact,
-        nodepoly=node_poly,
-        degree=rule.degree,
+        nodes_exact=None if rule.nodes_exact is None else tuple(map(to_new, rule.nodes_exact)),
+        nodepoly=None if rule.nodepoly is None else (
+            rule.nodepoly.compose_affine(scale, shift).scale(Fraction(1, scale) ** rule.npoints)
+        ),
     )
 
 

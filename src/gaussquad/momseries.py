@@ -17,6 +17,7 @@ exact node data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -166,22 +167,14 @@ def cauchy_expansion_of_rule(rule, count: int) -> SeriesTail:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    nodes_exact = getattr(rule, "nodes_exact", None)
-    weights_exact = getattr(rule, "weights_exact", None)
-    if nodes_exact is not None and weights_exact is not None:
-        powers = [Fraction(1)] * len(nodes_exact)
-        out = []
-        for _ in range(count):
-            out.append(sum(map(lambda w, p: w * p, weights_exact, powers), Fraction(0)))
-            powers = [p * a for p, a in zip(powers, nodes_exact)]
-        return SeriesTail(tuple(out))
-    from decimal import Decimal
-
-    nodes = rule.nodes
-    weights = rule.weights
-    powers = [Decimal(1)] * len(nodes)
+    nodes = getattr(rule, "nodes_exact", None)
+    weights = getattr(rule, "weights_exact", None)
+    kind = Fraction
+    if nodes is None or weights is None:
+        nodes, weights, kind = rule.nodes, rule.weights, Decimal
+    powers = [kind(1)] * len(nodes)
     out = []
     for _ in range(count):
-        out.append(sum(map(lambda w, p: w * p, weights, powers), Decimal(0)))
+        out.append(sum(map(lambda w, p: w * p, weights, powers), kind(0)))
         powers = [p * a for p, a in zip(powers, nodes)]
     return SeriesTail(tuple(out))

@@ -12,7 +12,8 @@ Two scalar kinds are used throughout the package:
   precision the caller asked for.
 
 The default precision is 50 significant digits; anything below 40 is
-rejected because downstream root polishing assumes that much headroom.
+rejected because downstream root polishing assumes that much headroom, and
+anything above 1000, the largest precision the package is tested at.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ HPScalar = Decimal
 
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 40
+MAX_PRECISION = 1000
 GUARD_DIGITS = 10
 
 _RAT_OPS = {
@@ -43,12 +45,12 @@ _LN2_CACHE: dict[int, Decimal] = {}
 
 
 def resolve_precision(prec: int | None) -> int:
-    """Return the effective precision, defaulting and validating the floor."""
+    """Return the effective precision, defaulting and validating the range."""
     if prec is None:
         return DEFAULT_PRECISION
     prec = int(prec)
-    if prec < MIN_PRECISION:
-        raise ValueError(f"precision must be at least {MIN_PRECISION}, got {prec}")
+    if not MIN_PRECISION <= prec <= MAX_PRECISION:
+        raise ValueError(f"precision must lie in [{MIN_PRECISION}, {MAX_PRECISION}], got {prec}")
     return prec
 
 

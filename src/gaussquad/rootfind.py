@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .numerics import resolve_precision, round_to, working_context
+from .numerics import _as_decimal, resolve_precision, round_to, working_context
 from .ratpoly import RatPoly
 
 _MAX_PANELS = 1024
@@ -146,10 +146,10 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None = None) -> RootSet:
     with localcontext(working_context(prec)):
         for qlo, qhi in brackets:
             if qlo == qhi:
-                root = (Decimal(qlo.numerator) / Decimal(qlo.denominator)).sqrt()
+                root = _as_decimal(qlo).sqrt()
             else:
-                lo = (Decimal(qlo.numerator) / Decimal(qlo.denominator)).sqrt()
-                hi = (Decimal(qhi.numerator) / Decimal(qhi.denominator)).sqrt()
+                lo = _as_decimal(qlo).sqrt()
+                hi = _as_decimal(qhi).sqrt()
                 # Sign of W on (0,1) matches the sign of Q at the q-bracket ends.
                 sign_lo = 1 if q.eval(qlo) > 0 else -1
                 root = _polish(poly, deriv, lo, hi, sign_lo, tol)

@@ -181,12 +181,50 @@ class TestIntegrate:
         assert obj["exact_value"] == "1/2"
 
     @pytest.mark.parametrize("flag, value", [("--from", "NaN"), ("--from", "-Infinity"),
-                                             ("--width", "Infinity"), ("--width", "sNaN")])
+                                             ("--width", "Infinity"), ("--width", "sNaN"),
+                                             ("--from", "1e999999999"),
+                                             ("--width", "1e999999999"),
+                                             ("--width", "1e-999999999"),
+                                             ("--from", "1e-999999999"),
+                                             ("--from", "one")])
     def test_non_finite_interval_is_a_usage_error(self, capsys, flag, value):
         with pytest.raises(SystemExit) as info:
             main(["integrate", "--rule", "gauss", "--n", "2", "--fn", "runge", flag, value])
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_wide_but_representable_interval_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "integrate", "--n", "2", "--fn", "poly:1", "--from=-1e999990",
+            "--width", "1e999990",
+        )
+        assert code == 0
+        assert "value=1.000000000000000E+999990" in out
+
+
+class TestIntegrandFailures:
+    @pytest.mark.parametrize(
+        "argv, why",
+        [
+            # ln of a negative number
+            (["--n", "3", "--fn", "reciprocal-log", "--from", "-5"], "integrand evaluation failed"),
+            # a node at x = 1.0, where ln x = 0
+            (["--n", "2", "--fn", "reciprocal-log", "--from", "0", "--width", "2"],
+             "integrand evaluation failed at node 1 (x=1.0)"),
+            # a node at x = 0
+            (["--rule", "cotes", "--n", "1", "--fn", "reciprocal-log", "--from", "0",
+              "--width", "2"], "integrand evaluation failed at node 0 (x=0)"),
+            # every node and value fits; delta times the weighted sum does not
+            (["--n", "3", "--fn", "poly:0,1", "--from", "0", "--width", "1e600000"],
+             "the integral overflows the decimal exponent range"),
+        ],
+    )
+    def test_failure_exits_3_with_one_error_line(self, capsys, argv, why):
+        code, out, err = run_cli(capsys, "integrate", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {why}")
+        assert err.count("\n") == 1
 
 
 class TestSamples:
@@ -316,6 +354,20 @@ class TestPrecisionPlumbing:
         monkeypatch.setenv("QUAD_PRECISION", "30")
         code, _, _ = run_cli(capsys, "tables", "--n-max", "0", "--precision", "45")
         assert code == 0
+
+    @pytest.mark.parametrize("prec", ["1001", "1000000000000000000000"])
+    def test_precision_above_maximum_is_a_usage_error(self, capsys, prec):
+        # Rejected before anything is computed at that precision.
+        with pytest.raises(SystemExit) as info:
+            main(["tables", "--n-max", "0", "--precision", prec])
+        assert info.value.code == 2
+        assert "precision must lie in [40, 1000]" in capsys.readouterr().err
+
+    def test_env_var_above_maximum(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUAD_PRECISION", "5000")
+        with pytest.raises(SystemExit) as info:
+            main(["tables", "--n-max", "0"])
+        assert info.value.code == 2
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("QUAD_PRECISION", "many")

@@ -1,6 +1,7 @@
 """Interpolatory and Newton-Cotes rules, error series, rule application."""
 
 import random
+from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -170,6 +171,27 @@ class TestErrorCoefficients:
 
         ks = error_coefficients(gauss_rule(1, convention=T01), 6)
         assert ks.k[:5] == (0, 0, 0, 0, F(1, 180))
+
+    def test_exact_cross_check_catches_corrupt_weights(self):
+        # Symmetric corruption keeps the rule's moments 0 and 1 and breaks
+        # moment 2, so the exact direct route must disagree with the series.
+        rule = newton_cotes(2)
+        bad = (F(1, 6) + F(1, 100), F(2, 3) - F(1, 50), F(1, 6) + F(1, 100))
+        with pytest.raises(ArithmeticError, match="mismatch at m=2"):
+            error_coefficients(replace(rule, weights_exact=bad), 5)
+
+    def test_decimal_cross_check_catches_corrupt_weights(self):
+        # Moving two weights by +-1e-30 keeps the weight sum (so the rule
+        # still validates) and shifts moment 1 far beyond 10**-(prec-8).
+        from gaussquad.gausscf import gauss_rule
+
+        rule = gauss_rule(2, convention=T01)
+        eps = Decimal("1e-30")
+        with localcontext(Context(prec=80)):
+            w = rule.weights
+            bad = (w[0] + eps, w[1], w[2] - eps)
+        with pytest.raises(ArithmeticError, match="mismatch at m=1"):
+            error_coefficients(replace(rule, weights=bad), 8)
 
 
 class TestApplyRule:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaussquad.numerics import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     format_fixed,
     format_sig,
     hp_ln,
@@ -120,6 +121,13 @@ class TestConversion:
             resolve_precision(39)
         with pytest.raises(ValueError):
             hp_ln(2, prec=10)
+
+    def test_precision_ceiling(self):
+        # Only the check runs: nothing is computed at the rejected precisions.
+        assert resolve_precision(MAX_PRECISION) == MAX_PRECISION == 1000
+        for prec in (MAX_PRECISION + 1, 10**21):
+            with pytest.raises(ValueError, match="precision must lie in"):
+                resolve_precision(prec)
 
     @given(a=rationals)
     @settings(max_examples=60, deadline=None)
