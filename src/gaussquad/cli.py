@@ -273,6 +273,16 @@ def _read_samples(path: str, kind: str, n: int, prec: int):
     return values
 
 
+def _warn_if_pole(start: Decimal, width: Decimal, prec: int) -> None:
+    # 1/ln x is not integrable across x = 1 (nor up to it): the rule still
+    # returns a finite number, which approximates no integral.
+    with localcontext(working_context(prec)):
+        lo, hi = sorted((start, start + width))
+    if lo <= 1 <= hi:
+        print(f"warning: 1/ln x has a pole at x = 1 in [{lo}, {hi}]; its integral diverges "
+              f"there and the printed value approximates nothing", file=sys.stderr)
+
+
 def cmd_integrate(args, parser) -> int:
     """Write the integral to stdout; data errors raise DataError."""
     prec = args.prec
@@ -314,6 +324,8 @@ def cmd_integrate(args, parser) -> int:
             raise DataError(str(exc)) from None
         except Overflow:
             raise DataError("the integral overflows the decimal exponent range") from None
+        if args.fn == "reciprocal-log":
+            _warn_if_pole(start, width, prec)
     result = {"rule": args.rule, "n": args.n, "value": format_sig(value, 16)}
     if not args.samples and args.fn.startswith("poly:") and start == 0 and width == 1:
         poly = parse_poly_spec(args.fn)
@@ -407,6 +419,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may be negative.  argparse takes a value such as -1e5
+# for an option string (it knows only forms like -5 and -0.5 as numbers), so
+# such a value is attached to its option as --from=-1e5 before parsing.
+_SIGNED_OPTIONS = ("--from", "--width")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and tok.startswith("-"):
+            try:
+                Decimal(tok)
+            except InvalidOperation:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def _resolve_cli_precision(args, parser) -> int:
     prec = args.precision
     if prec is None:
@@ -426,7 +459,7 @@ def _resolve_cli_precision(args, parser) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     args.prec = _resolve_cli_precision(args, parser)
 
     if args.command == "tables":

@@ -8,6 +8,12 @@ nodes yields the unique (n+1)-point rule of degree 2n+1, and the numerator
 V doubles as the polynomial part of W times the moment series, so the
 weight at node b is V(b) / W'(b).
 
+The exact polynomials V and W are the rule's exact outputs.  Its decimal
+nodes and weights come from evaluating W, W' and V at decimal points by the
+recurrence itself, with the v(k) rounded once per rule: unlike Horner's
+scheme on the expanded coefficients of W, which cancel near u = +-1, the
+recurrence keeps its relative accuracy across (-1, 1) at every order.
+
 The small linear-system construction (choose the node polynomial so that
 the first coefficients of the split tail vanish) is also provided; it is
 the brute-force cross-check for the continued-fraction route.
@@ -16,12 +22,12 @@ the brute-force cross-check for the continued-fraction route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
 from .interprule import T01, U11, QuadRule, _moments, to_convention
-from .numerics import resolve_precision, round_to, working_context
+from .numerics import _as_decimal, resolve_precision, round_to, working_context
 from .ratpoly import RatPoly, mod_inverse_eval
 from .rootfind import real_roots_symmetric
 
@@ -63,24 +69,58 @@ def legendre_pair(m: int) -> LegendrePair:
     return LegendrePair(m, v1, w1)
 
 
+def _recurrence(x: Decimal, v: list[Decimal], x0: Decimal, x1: Decimal) -> tuple[Decimal, Decimal]:
+    # X(k+1) = x*X(k) + v(k)*X(k-1) from X(0), X(1) under the ambient
+    # context; returns (X(m-1), X(m)) for m = len(v) + 1.
+    for vk in v:
+        x0, x1 = x1, x * x1 + vk * x0
+    return x0, x1
+
+
+def _denominator_and_derivative(x: Decimal, v: list[Decimal]) -> tuple[Decimal, Decimal]:
+    # (W(x), W'(x)) for the monic Legendre W of degree m = len(v) + 1.  The
+    # derivative comes from (1-x^2) P_m' = m (P_(m-1) - x P_m) written for
+    # the monic W_m = P_m/a_m, where a_(m-1)/a_m = m/(2m-1); the factor
+    # (1-x)(1+x) keeps its relative accuracy near the ends, where 1-x*x
+    # would cancel.
+    m = len(v) + 1
+    w_prev, w = _recurrence(x, v, Decimal(1), x)
+    return w, m * (w_prev * m / (2 * m - 1) - x * w) / ((1 - x) * (1 + x))
+
+
 def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRule:
     """The (n+1)-point rule of degree 2n+1.
 
-    Nodes are the roots of the degree n+1 convergent denominator, found to
-    the requested precision; the weight at node b is V(b)/W'(b).  The rule
+    Nodes are the roots of the degree n+1 convergent denominator W, found to
+    the requested precision; the weight at node b is V(b)/W'(b).  Root
+    polishing and weights evaluate W, W' and V at decimal points by the
+    continued-fraction recurrence itself, which stays accurate near +-1
+    where Horner's scheme on the monomial coefficients cancels.  Weights
+    are computed for the nonnegative nodes and mirrored; a weight sum that
+    misses 1 by more than 10**-(prec-5) raises ArithmeticError.  The rule
     is built on [-1, 1] and mapped affinely when the t-form is requested.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     prec = resolve_precision(prec)
     pair = legendre_pair(n + 1)
-    w_poly = pair.denominator
-    v_poly = pair.numerator
-    roots = real_roots_symmetric(w_poly, prec).roots
-    deriv = w_poly.derivative()
     with localcontext(working_context(prec)):
-        weights = tuple(
-            round_to(v_poly.eval_hp(b) / deriv.eval_hp(b), prec) for b in roots
+        v = [_as_decimal(cf_coefficient(k)) for k in range(1, n + 1)]
+        roots = real_roots_symmetric(
+            pair.denominator, prec, lambda x: _denominator_and_derivative(x, v)
+        ).roots
+        # V(b)/W'(b) at the nonnegative nodes; the negative ones mirror them.
+        upper = [
+            round_to(_recurrence(b, v, Decimal(0), Decimal(1))[1]
+                     / _denominator_and_derivative(b, v)[1], prec)
+            for b in roots[(n + 1) // 2:]
+        ]
+        lower = upper[::-1] if n % 2 else upper[:0:-1]
+        weights = tuple(lower + upper)
+        defect = abs(sum(weights, Decimal(0)) - 1)
+    if defect > Decimal(1).scaleb(-(prec - 5)):
+        raise ArithmeticError(
+            f"weights of the {n + 1}-point rule miss unit mass by {defect:.3e}"
         )
     if n == 0:
         nodes_exact: tuple[Fraction, ...] | None = (Fraction(0),)
@@ -93,7 +133,7 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
         weights=weights,
         nodes_exact=nodes_exact,
         weights_exact=weights_exact,
-        nodepoly=w_poly,
+        nodepoly=pair.denominator,
         degree=2 * n + 1,
     )
     if convention == U11:

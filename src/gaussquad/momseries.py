@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .ratpoly import RatPoly
@@ -74,8 +76,7 @@ def product_split(
     raised.  When ``tail_len`` is omitted, every tail coefficient the input
     supports is produced.
     """
-    c = node_poly.coeffs
-    d = len(c) - 1  # degree; -1 for the zero polynomial
+    d = node_poly.degree  # -1 for the zero polynomial
     avail = len(moments)
     if d < 0:
         L = avail if tail_len is None else tail_len
@@ -96,24 +97,29 @@ def product_split(
             raise ValueError(
                 f"moment series too short: need {d + L} coefficients, have {avail}"
             )
-    mu = moments.coeffs
-    poly_part = [
-        sum((c[i] * mu[i - p - 1] for i in range(p + 1, d + 1)), Fraction(0))
-        for p in range(d)
-    ]
-    tail = tuple(
-        sum((c[i] * mu[q + i] for i in range(d + 1)), Fraction(0)) for q in range(L)
-    )
-    return RatPoly(poly_part), SeriesTail(tail)
+    # Integer kernel: with c[i] = a[i]/den and mu[j] = M[j]/big over the
+    # least common denominator big, every output is one integer dot product
+    # over den*big, reduced once.
+    a, den = node_poly.numerators
+    mu = moments.coeffs[:d + L]
+    big = lcm(*(m.denominator for m in mu))
+    M = [m.numerator * (big // m.denominator) for m in mu]
+    scale = den * big
+    poly_part = RatPoly.from_numerators([sum(map(mul, a[p + 1:], M)) for p in range(d)], scale)
+    tail = tuple(Fraction(sum(map(mul, a, M[q:q + d + 1])), scale) for q in range(L))
+    return poly_part, SeriesTail(tail)
 
 
 def _power_series_div(num: Sequence[Fraction], den: Sequence[Fraction], count: int):
-    # Ascending power-series division; den[0] must be nonzero.
+    # Ascending power-series division; den[0] must be nonzero.  Zero terms
+    # are skipped: an error series starts with as many zeros as the rule's
+    # degree of precision, and a zero product leaves acc unchanged.
     out = []
     for j in range(count):
         acc = num[j] if j < len(num) else Fraction(0)
         for i in range(1, min(j, len(den) - 1) + 1):
-            acc -= den[i] * out[j - i]
+            if out[j - i]:
+                acc -= den[i] * out[j - i]
         out.append(acc / den[0])
     return out
 

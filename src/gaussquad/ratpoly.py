@@ -92,6 +92,11 @@ class RatPoly:
         return cls((0, 1))
 
     @classmethod
+    def from_numerators(cls, num: Iterable[int], den: int) -> "RatPoly":
+        """The polynomial with coefficients num[i]/den, ascending; den is a nonzero int."""
+        return _make(list(num), den)
+
+    @classmethod
     def from_roots(cls, roots: Sequence[Fraction | int]) -> "RatPoly":
         """Monic polynomial with exactly the given roots (with multiplicity)."""
         out = cls.one()
@@ -110,6 +115,11 @@ class RatPoly:
             cs = tuple(Fraction(a, den) for a in self._num)
             _set(self, "_coeffs", cs)
         return cs
+
+    @property
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator): the integer form in primitive form."""
+        return self._num, self._den
 
     @property
     def degree(self) -> int:

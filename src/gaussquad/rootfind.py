@@ -5,12 +5,16 @@ simple inside (-1, 1), and at most one root at the origin.  Parity is
 exploited: W(u) = u**s * Q(u**2) with s in {0, 1}, the roots of Q are
 isolated in (0, 1) by exact sign changes of Q at rational grid points (so
 isolation can never be fooled by rounding), and each bracket is polished
-with a bracket-guarded Newton iteration in decimal arithmetic.  Negative
-roots come from mirroring, and a root at the origin is exact.
+in decimal arithmetic by safeguarded Newton: each evaluation narrows the
+bracket, and a step that would leave it is replaced by one bisection step,
+after which Newton resumes.  The caller may supply the evaluation of
+(W, W'); the default is Horner's scheme on the monomial coefficients.
+Negative roots come from mirroring, and a root at the origin is exact.
 
 Violations of the expected root structure are detected and reported as
 :class:`RootIsolationError`; the module never silently returns a wrong
-root count.
+root count, nor a root whose residual |W/W'|, evaluated at the rounded
+root, exceeds the promised 10**-(prec-5).
 """
 
 from __future__ import annotations
@@ -18,13 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Callable
 
-from .numerics import _as_decimal, resolve_precision, round_to, working_context
+from .numerics import MAX_PRECISION, _as_decimal, resolve_precision, round_to, working_context
 from .ratpoly import RatPoly
 
 _MAX_PANELS = 1024
-_MAX_NEWTON = 200
-_MAX_BISECT = 4000
+# Bisection alone needs log2(10) < 3.4 steps per digit.
+_MAX_STEPS = 4 * MAX_PRECISION
+
+# evaluate(x) -> (W(x), W'(x)) under the ambient decimal context.
+Evaluator = Callable[[Decimal], tuple[Decimal, Decimal]]
 
 
 class RootIsolationError(RuntimeError):
@@ -53,8 +61,9 @@ def _parity_split(poly: RatPoly) -> tuple[int, RatPoly]:
     return s, RatPoly(poly.coeffs[s::2])
 
 
-def _isolate_unit_interval(q: RatPoly) -> list[tuple[Fraction, Fraction]]:
-    # Exact sign-change brackets for all roots of q in (0, 1).
+def _isolate_unit_interval(q: RatPoly) -> list[tuple[Fraction, Fraction, int]]:
+    # Exact sign-change brackets (lo, hi, sign of q at lo) for all roots of
+    # q in (0, 1); a rational root on the grid comes as (r, r, 0).
     want = q.degree
     if want == 0:
         return []
@@ -62,15 +71,15 @@ def _isolate_unit_interval(q: RatPoly) -> list[tuple[Fraction, Fraction]]:
     grid = [Fraction(j, panels) for j in range(panels + 1)]
     vals = [q.eval(x) for x in grid]
     while True:
-        brackets: list[tuple[Fraction, Fraction]] = []
+        brackets: list[tuple[Fraction, Fraction, int]] = []
         for j in range(panels):
             if vals[j] == 0:
                 # A rational root sitting exactly on the grid.
-                brackets.append((grid[j], grid[j]))
+                brackets.append((grid[j], grid[j], 0))
             elif (vals[j] > 0) != (vals[j + 1] > 0) and vals[j + 1] != 0:
-                brackets.append((grid[j], grid[j + 1]))
+                brackets.append((grid[j], grid[j + 1], 1 if vals[j] > 0 else -1))
         if vals[-1] == 0:
-            brackets.append((grid[-1], grid[-1]))
+            brackets.append((grid[-1], grid[-1], 0))
         seen = len(brackets)
         if seen == want:
             return brackets
@@ -89,48 +98,49 @@ def _isolate_unit_interval(q: RatPoly) -> list[tuple[Fraction, Fraction]]:
     )
 
 
-def _polish(w: RatPoly, wd: RatPoly, lo: Decimal, hi: Decimal,
-            sign_lo: int, tol: Decimal) -> Decimal:
-    # Bracket-guarded Newton on w over [lo, hi]; falls back to bisection.
+def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal, sign_lo: int,
+            tol: Decimal) -> Decimal:
+    # Safeguarded Newton on [lo, hi], whose ends bracket one sign change of
+    # W, with sign_lo the sign at lo.  Every evaluation shrinks the bracket
+    # to the side that keeps the root; a Newton step that would leave it is
+    # replaced by one bisection step, and Newton resumes from there.  The
+    # iterate stays strictly inside the bracket, so an evaluator is never
+    # asked for a value at a bracket end such as u = 1.
     x = (lo + hi) / 2
-    for _ in range(_MAX_NEWTON):
-        fx = w.eval_hp(x)
-        dfx = wd.eval_hp(x)
-        if dfx == 0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if x_new < lo or x_new > hi:
-            break
-        if abs(step) <= tol:
-            return x_new
-        # Keep the bracket current so a later fallback stays valid.
+    for _ in range(_MAX_STEPS):
+        fx, dfx = evaluate(x)
+        if fx == 0:
+            return x
         if (fx > 0) == (sign_lo > 0):
             lo = x
         else:
             hi = x
-        x = x_new
-    # Bisection fallback: linear but unconditionally convergent.
-    for _ in range(_MAX_BISECT):
+        if dfx != 0:
+            step = fx / dfx
+            x_new = x - step
+            if abs(step) <= tol and lo <= x_new <= hi:
+                return x_new
+            if lo < x_new < hi:
+                x = x_new
+                continue
         if hi - lo <= tol:
             return (lo + hi) / 2
-        mid = (lo + hi) / 2
-        fm = w.eval_hp(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (sign_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    raise RootIsolationError("bisection stalled", bracket=(lo, hi))
+        x = (lo + hi) / 2
+    raise RootIsolationError("safeguarded Newton did not converge", bracket=(lo, hi))
 
 
-def real_roots_symmetric(poly: RatPoly, prec: int | None = None) -> RootSet:
+def real_roots_symmetric(poly: RatPoly, prec: int | None = None,
+                         evaluate: Evaluator | None = None) -> RootSet:
     """All real roots of a definite-parity polynomial with roots in (-1, 1).
 
     The returned roots are strictly increasing, symmetric about the origin,
-    and each satisfies |poly(r)/poly'(r)| <= 10**-(prec-5).  Identical input
-    and precision give bit-identical output.
+    and each satisfies |poly(r)/poly'(r)| <= 10**-(prec-5), measured at the
+    rounded root; a root that misses this bound raises RootIsolationError.
+    ``evaluate(x)`` returns (poly(x), poly'(x)) under the ambient decimal
+    context; by default it is Horner's scheme on the monomial coefficients,
+    which loses digits to cancellation at large degree, where a caller with
+    a better-conditioned evaluation of the same polynomial should pass it.
+    Identical input and precision give bit-identical output.
     """
     prec = resolve_precision(prec)
     if poly.is_zero or poly.degree < 1:
@@ -139,26 +149,36 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None = None) -> RootSet:
         raise ValueError("polynomial must be monic")
     s, q = _parity_split(poly)
     brackets = _isolate_unit_interval(q)
-    deriv = poly.derivative()
+    if evaluate is None:
+        deriv = poly.derivative()
+
+        def evaluate(x):
+            return poly.eval_hp(x), deriv.eval_hp(x)
+
     tol = Decimal(1).scaleb(-(prec - 5))
     positives: list[Decimal] = []
     residual = Decimal(0)
     with localcontext(working_context(prec)):
-        for qlo, qhi in brackets:
+        for qlo, qhi, sign_lo in brackets:
             if qlo == qhi:
                 root = _as_decimal(qlo).sqrt()
             else:
-                lo = _as_decimal(qlo).sqrt()
-                hi = _as_decimal(qhi).sqrt()
                 # Sign of W on (0,1) matches the sign of Q at the q-bracket ends.
-                sign_lo = 1 if q.eval(qlo) > 0 else -1
-                root = _polish(poly, deriv, lo, hi, sign_lo, tol)
-            dfx = deriv.eval_hp(root)
+                root = _polish(evaluate, _as_decimal(qlo).sqrt(), _as_decimal(qhi).sqrt(),
+                               sign_lo, tol)
+            root = round_to(root, prec)
+            fx, dfx = evaluate(root)
             if dfx == 0:
                 raise RootIsolationError("derivative vanished at a computed root",
                                          bracket=(qlo, qhi))
-            residual = max(residual, abs(poly.eval_hp(root) / dfx))
-            positives.append(round_to(root, prec))
+            residual = max(residual, abs(fx / dfx))
+            positives.append(root)
+        residual = round_to(residual, prec)
+        if residual > tol:
+            raise RootIsolationError(
+                f"residual {residual:.3e} exceeds the promised 1e-{prec - 5}: "
+                f"the evaluation of the polynomial lost too many digits"
+            )
         positives.sort()
         if positives and positives[-1] >= 1:
             raise RootIsolationError(
@@ -172,5 +192,4 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None = None) -> RootSet:
             raise RootIsolationError(
                 f"found {len(roots)} roots for a degree {poly.degree} polynomial"
             )
-        residual = round_to(residual, prec)
     return RootSet(roots=tuple(roots), residual_bound=residual)

@@ -267,6 +267,15 @@ def frac_eval_hp(a, x: Decimal) -> Decimal:
     return acc
 
 
+def frac_product_split(c, mu, tail_len: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Polynomial part and first tail_len tail coefficients of c times the
+    descending series mu, one Fraction sum per coefficient."""
+    d = len(c) - 1
+    poly = [sum((c[i] * mu[i - p - 1] for i in range(p + 1, d + 1)), Fraction(0)) for p in range(d)]
+    tail = [sum((c[i] * mu[q + i] for i in range(d + 1)), Fraction(0)) for q in range(tail_len)]
+    return frac_poly(poly), tuple(tail)
+
+
 def frac_ext_gcd(a, b):
     """Extended Euclid with monic remainders: (g, s, t) with s*a + t*b = g."""
     r0, s0, t0 = a, (Fraction(1),), ()

@@ -193,6 +193,30 @@ class TestIntegrate:
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag, value", [("--from", "-1e5"), ("--from", "-2.5E-3"),
+                                             ("--width", "-1e0")])
+    def test_negative_value_in_exponent_form_parses(self, capsys, flag, value):
+        args = ["integrate", "--n", "3", "--fn", "runge", flag]
+        code, out, err = run_cli(capsys, *args, value)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *args[:-1], f"{flag}={value}") == (0, out, "")
+
+    @pytest.mark.parametrize("start, width", [("0.5", "1"), ("2", "-1"), ("0", "1"),
+                                              ("1", "0.5")])
+    def test_pole_in_interval_warns_once(self, capsys, start, width):
+        args = ["--n", "3", "--fn", "reciprocal-log", "--from", start, "--width", width]
+        code, out, err = run_cli(capsys, "integrate", *args)
+        assert code == 0
+        assert err.startswith("warning: 1/ln x has a pole at x = 1")
+        assert err.count("\n") == 1
+        if (start, width) == ("0.5", "1"):
+            assert out == "rule=gauss\nn=3\nvalue=0.5037357467692003\n"
+
+    def test_no_warning_away_from_the_pole(self, capsys):
+        code, _, err = run_cli(capsys, "integrate", "--n", "3", "--fn", "reciprocal-log",
+                               "--from", "1.5", "--width", "2")
+        assert (code, err) == (0, "")
+
     def test_wide_but_representable_interval_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "integrate", "--n", "2", "--fn", "poly:1", "--from=-1e999990",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gaussquad import gausscf, rootfind
 from gaussquad.gausscf import (
     annihilating_node_poly,
     cf_coefficient,
@@ -13,14 +14,14 @@ from gaussquad.gausscf import (
     legendre_pair,
     weight_polynomial,
 )
-from gaussquad.interprule import T01, U11, error_coefficients
+from gaussquad.interprule import T01, U11, error_coefficients, to_convention
 from gaussquad.momseries import (
     moment_series_u,
     product_split,
     rational_function_tail,
 )
 from gaussquad.ratpoly import RatPoly
-from oracles import lagrange_weights_hp, legendre_nodes
+from oracles import lagrange_weights_hp, legendre_eval, legendre_nodes
 
 F = Fraction
 
@@ -186,6 +187,84 @@ class TestGaussRule:
             with localcontext(Context(prec=60)):
                 residue = abs(rule.nodepoly.eval_hp(a))
             assert residue < Decimal("1e-42")
+
+
+def _legendre_weights(m: int, prec: int) -> list[Decimal]:
+    # 1/((1-x^2) P_m'(x)^2), the weight of the half measure, at oracle
+    # nodes carried to ten more digits.
+    with localcontext(Context(prec=prec + 20)):
+        out = []
+        for x in legendre_nodes(m, prec + 10):
+            _, dp = legendre_eval(m, x)
+            out.append(1 / ((1 - x * x) * dp * dp))
+        return out
+
+
+def _polish_counts(monkeypatch) -> list[int]:
+    # Evaluations per polished root, counted on the evaluator _polish gets.
+    counts: list[int] = []
+    polish = rootfind._polish
+
+    def counting(evaluate, *args):
+        counts.append(0)
+
+        def wrapped(x):
+            counts[-1] += 1
+            return evaluate(x)
+
+        return polish(wrapped, *args)
+
+    monkeypatch.setattr(rootfind, "_polish", counting)
+    return counts
+
+
+class TestLargeOrders:
+    """Orders past the monomial-Horner limit (n = 49 at precision 50), where
+    the recurrence-evaluated polish must still deliver every digit."""
+
+    @pytest.mark.parametrize("n", [56, 80, 100, 150])
+    def test_nodes_and_weights_against_oracle(self, n):
+        prec = 50
+        rule = gauss_rule(n, prec)
+        for got, want in zip(rule.nodes, legendre_nodes(n + 1, prec), strict=True):
+            assert abs(got - want) <= Decimal(1).scaleb(-(prec - 2))
+        for got, want in zip(rule.weights, _legendre_weights(n + 1, prec), strict=True):
+            assert abs(got - want) <= want * Decimal(1).scaleb(-(prec - 5))
+
+    def test_high_precision_against_oracle(self):
+        prec = 1000
+        rule = gauss_rule(12, prec)
+        for got, want in zip(rule.nodes, legendre_nodes(13, prec), strict=True):
+            assert abs(got - want) <= Decimal(1).scaleb(-(prec - 2))
+        for got, want in zip(rule.weights, _legendre_weights(13, prec), strict=True):
+            assert abs(got - want) <= want * Decimal(1).scaleb(-(prec - 5))
+
+    @pytest.mark.parametrize("n", [76, 100])
+    def test_error_series_cross_check_passes(self, n):
+        ks = error_coefficients(to_convention(gauss_rule(n), T01), 2 * n + 4)
+        assert all(ks[m] == 0 for m in range(2 * n + 2))
+        assert ks[2 * n + 2] == leading_error_constant(n)[1]
+
+    @pytest.mark.parametrize("n, prec", [(100, 50), (12, 1000)])
+    def test_evaluations_per_root(self, monkeypatch, n, prec):
+        counts = _polish_counts(monkeypatch)
+        gauss_rule(n, prec)
+        assert len(counts) == (n + 1) // 2
+        assert max(counts) <= 12
+
+    def test_weight_sum_checked_at_rule_precision(self, monkeypatch):
+        # Derivatives off by one part in 1e40 leave the nodes alone but move
+        # the weights; the rule's own check catches what QuadRule's fixed
+        # 1e-25 tolerance would let through.
+        exact = gausscf._denominator_and_derivative
+
+        def skewed(x, v):
+            w, dw = exact(x, v)
+            return w, dw * (1 + Decimal("1e-40"))
+
+        monkeypatch.setattr(gausscf, "_denominator_and_derivative", skewed)
+        with pytest.raises(ArithmeticError, match="unit mass"):
+            gauss_rule(20, 50)
 
 
 class TestWeightPolynomial:

@@ -6,6 +6,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaussquad.interprule import T01, interpolatory_rule
 from gaussquad.momseries import (
@@ -18,8 +20,11 @@ from gaussquad.momseries import (
     rational_function_tail,
 )
 from gaussquad.ratpoly import RatPoly
+from oracles import frac_product_split
 
 F = Fraction
+
+small_rationals = st.fractions(min_value=F(-8), max_value=F(8), max_denominator=12)
 
 
 class TestMomentSeries:
@@ -118,6 +123,30 @@ class TestProductSplit:
             rest = divide_tail_by_poly(tail, T, K)
             got = [a + b for a, b in zip(head.coeffs, rest.coeffs)]
             assert got == list(sigma.coeffs[:K])
+
+    @given(
+        c=st.lists(small_rationals, max_size=10),
+        series=st.one_of(
+            st.integers(1, 30).map(moment_series_t),
+            st.integers(1, 30).map(moment_series_u),
+            st.lists(small_rationals, min_size=1, max_size=30).map(lambda m: SeriesTail(tuple(m))),
+        ),
+        short=st.integers(0, 3),
+    )
+    @settings(max_examples=200)
+    def test_integer_kernel_matches_fraction_sums(self, c, series, short):
+        node = RatPoly(c)
+        tail_len = len(series) - max(node.degree, 0) - short
+        assume(tail_len >= 0)
+        poly, tail = product_split(node, series, tail_len)
+        want_poly, want_tail = frac_product_split(node.coeffs, series.coeffs, tail_len)
+        assert poly == RatPoly(want_poly)
+        assert poly.coeffs == want_poly
+        assert tail.coeffs == want_tail
+        assert all(type(x) is Fraction for x in tail.coeffs)
+        # Omitting tail_len takes every coefficient the series supports.
+        if short == 0 and node.degree >= 0:
+            assert product_split(node, series) == (poly, tail)
 
 
 class TestSeriesDivision:

@@ -1,6 +1,6 @@
 """Root extraction: parity reduction, exact isolation, Newton polishing."""
 
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from gaussquad.gausscf import legendre_pair
 from gaussquad.numerics import format_sig
 from gaussquad.ratpoly import RatPoly
-from gaussquad.rootfind import RootIsolationError, real_roots_symmetric
+from gaussquad.rootfind import RootIsolationError, _polish, real_roots_symmetric
 from oracles import legendre_nodes, newton_sqrt
 
 F = Fraction
@@ -82,6 +82,37 @@ class TestLegendreFamily:
             assert abs(a - b) < Decimal("1e-38")
 
 
+class TestPolish:
+    def test_step_leaving_the_bracket_costs_one_bisection(self):
+        # x^3 - 2x + 2 on [-2, 1/2]: from the midpoint -3/4, Newton jumps to
+        # about 9.1.  One bisection step replaces it and Newton resumes, where
+        # bisecting the whole bracket down to 1e-45 would take 150 steps.
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return x ** 3 - 2 * x + 2, 3 * x * x - 2
+
+        with localcontext(Context(prec=60)):
+            root = _polish(evaluate, Decimal(-2), Decimal("0.5"), -1, Decimal("1e-45"))
+            assert abs(root ** 3 - 2 * root + 2) < Decimal("1e-44")
+        assert calls[1] == (Decimal(-2) + Decimal("-0.75")) / 2
+        assert len(calls) <= 12
+
+    def test_custom_evaluator_is_used(self):
+        w = legendre_pair(6).denominator
+        d = w.derivative()
+        seen = []
+
+        def horner(x):
+            seen.append(x)
+            return w.eval_hp(x), d.eval_hp(x)
+
+        got = real_roots_symmetric(w, 50, horner)
+        assert seen
+        assert got == real_roots_symmetric(w, 50)
+
+
 class TestRejection:
     def test_mixed_parity(self):
         with pytest.raises(ValueError, match="parity"):
@@ -102,6 +133,14 @@ class TestRejection:
     def test_roots_outside_interval_detected(self):
         with pytest.raises(RootIsolationError):
             real_roots_symmetric(RatPoly((-4, 0, 1)), 50)  # roots at +-2
+
+    @pytest.mark.parametrize("m", [57, 81])
+    def test_lost_digits_raise(self, m):
+        # Horner on the monomial coefficients cancels near +-1 for large m;
+        # the residual at the rounded roots then exceeds 1e-45 and must not
+        # be returned as if certified.
+        with pytest.raises(RootIsolationError, match="residual"):
+            real_roots_symmetric(legendre_pair(m).denominator, 50)
 
     def test_boundary_roots_detected(self):
         with pytest.raises(RootIsolationError, match="open interval"):
