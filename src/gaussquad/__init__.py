@@ -48,7 +48,6 @@ from .numerics import (
     format_sig,
     hp_ln,
     hp_log10_scaled,
-    rat_arith,
     to_hp,
 )
 from .ratpoly import RatPoly, mod_inverse_eval, poly_ext_gcd
@@ -89,7 +88,6 @@ __all__ = [
     "node_terms",
     "poly_ext_gcd",
     "product_split",
-    "rat_arith",
     "rational_function_tail",
     "real_roots_symmetric",
     "to_convention",

@@ -6,7 +6,14 @@ the integral of 1/ln x from 100000 to 200000), ``integrate`` (apply a
 rule to a named integrand or a samples file) and ``error-coeffs``
 (exact error coefficients of a rule).
 
-Exit codes: 0 on success, 2 for usage errors, 3 for data errors.
+Each subcommand validates its own arguments and returns a ``Report``: a
+JSON document, a CSV header and rows, and text lines.  ``_render`` is the
+one place that knows the three ``--format`` outputs, and ``main`` has one
+path for every subcommand: parse, resolve the precision, run, render.
+
+Exit codes: 0 on success, 2 for usage errors, 3 for data errors.  A
+usage error found while parsing or validating arguments prints argparse's
+usage message; every other error prints one ``error:`` line on stderr.
 The environment variable QUAD_PRECISION overrides the default precision;
 an explicit ``--precision`` flag wins over the environment.
 """
@@ -19,6 +26,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, Overflow, Underflow, localcontext
 from fractions import Fraction
 
@@ -60,18 +68,36 @@ DEMO_WIDTH = 100000
 BESSEL_REFERENCE = "8406.24312"
 
 
-class DataError(Exception):
-    """Bad input data or an integrand that fails on it; ``main`` exits 3."""
+class CliError(Exception):
+    """An error ``main`` reports as one ``error:`` line on stderr, exiting with ``code``.
+
+    The default, 3, is a data error: bad input data or an integrand that
+    fails on it.
+    """
+
+    def __init__(self, message: str, code: int = 3):
+        super().__init__(message)
+        self.code = code
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+@dataclass(frozen=True)
+class Report:
+    """One subcommand's output: its JSON document, CSV header and rows, and text lines."""
+
+    doc: object
+    header: list[str]
+    rows: list
+    lines: list[str]
 
 
-def _csv(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
+def _render(fmt: str, report: Report) -> str:
+    if fmt == "json":
+        return json.dumps(report.doc, indent=2, ensure_ascii=False) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([report.header, *report.rows])
+        return buf.getvalue()
+    return "\n".join(report.lines) + "\n"
 
 
 def _rat_str(x: Fraction) -> str:
@@ -80,153 +106,81 @@ def _rat_str(x: Fraction) -> str:
 
 # -- tables ----------------------------------------------------------------
 
-
-def _table_entry(n: int, prec: int) -> dict:
-    pair = legendre_pair(n + 1)
-    rule_u = gauss_rule(n, prec, convention=U11)
-    rule_t = to_convention(rule_u, T01, prec)
-    u_poly = pair.denominator
-    t_poly = rule_t.nodepoly
-    u_prime = pair.numerator
-    t_prime, _ = product_split(t_poly, moment_series_t(t_poly.degree), tail_len=0)
-    c, k_first = leading_error_constant(n)
-    return {
-        "n": n,
-        "points": n + 1,
-        "degree": rule_u.degree,
-        "rule_u": rule_u,
-        "rule_t": rule_t,
-        "u_poly": u_poly,
-        "u_prime": u_prime,
-        "t_poly": t_poly,
-        "t_prime": t_prime,
-        "weight_poly": weight_polynomial(n),
-        "c": c,
-        "k_first": k_first,
-        "nodes_t": [format_sig(a, 16) for a in rule_t.nodes],
-        "nodes_u": [format_sig(b, 16) for b in rule_u.nodes],
-        "weights": [format_sig(w, 16) for w in rule_u.weights],
-        "logs": [format_sig(hp_log10_scaled(w, prec), 10) for w in rule_u.weights],
-        "k_first_dec": format_sig(to_hp(k_first, prec), 16),
-    }
+TABLES_HEADER = ["n", "node_index", "node_t", "node_u", "weight", "log10_weight_scaled",
+                 "leading_error_rational", "leading_error_decimal"]
 
 
-def _tables_text(entries) -> str:
-    out = []
-    for e in entries:
-        noun = "point" if e["points"] == 1 else "points"
-        out.append(f"n={e['n']}  ({e['points']} {noun}, degree {e['degree']})")
-        out.append(f"  U  (u) = {e['u_poly'].format('u')}")
-        out.append(f"  U' (u) = {e['u_prime'].format('u')}")
-        out.append(f"  T  (t) = {e['t_poly'].format('t')}")
-        out.append(f"  T' (t) = {e['t_prime'].format('t')}")
-        out.append(f"  weight polynomial (u) = {e['weight_poly'].format('u')}")
-        out.append(
-            f"  leading error: k[{2 * e['n'] + 2}] = {_rat_str(e['k_first'])}"
-            f" ~ {e['k_first_dec']}  (u-form constant {_rat_str(e['c'])})"
-        )
-        out.append("  j   node_t              node_u               weight              log10(1e9*R)")
-        for j in range(e["points"]):
-            out.append(
-                f"  {j:<3d} {e['nodes_t'][j]:<19s} {e['nodes_u'][j]:<20s} "
-                f"{e['weights'][j]:<19s} {e['logs'][j]}"
-            )
-        out.append("")
-    return "\n".join(out)
-
-
-def _tables_json(entries) -> str:
-    rows = []
-    for e in entries:
-        rows.append(
-            {
-                "n": e["n"],
-                "convention": T01,
-                "nodes": e["nodes_t"],
-                "weights": e["weights"],
-                "log10_scaled_weights": e["logs"],
-                "leading_error": {
-                    "rational": _rat_str(e["k_first"]),
-                    "decimal": e["k_first_dec"],
-                },
-            }
-        )
-    return _json_dumps(rows)
-
-
-def _tables_csv(entries) -> str:
-    rows = [
-        [
-            "n",
-            "node_index",
-            "node_t",
-            "node_u",
-            "weight",
-            "log10_weight_scaled",
-            "leading_error_rational",
-            "leading_error_decimal",
+def cmd_tables(args, parser) -> Report:
+    if not (0 <= args.n_min <= args.n_max <= MAX_ORDER):
+        parser.error(f"need 0 <= n-min <= n-max <= {MAX_ORDER}")
+    prec = args.prec
+    doc, rows, lines = [], [], []
+    for n in range(args.n_min, args.n_max + 1):
+        pair = legendre_pair(n + 1)
+        rule_u = gauss_rule(n, prec, convention=U11)
+        rule_t = to_convention(rule_u, T01, prec)
+        t_poly = rule_t.nodepoly
+        t_prime, _ = product_split(t_poly, moment_series_t(t_poly.degree), tail_len=0)
+        c, k_first = leading_error_constant(n)
+        nodes_t = [format_sig(a, 16) for a in rule_t.nodes]
+        nodes_u = [format_sig(b, 16) for b in rule_u.nodes]
+        weights = [format_sig(w, 16) for w in rule_u.weights]
+        logs = [format_sig(hp_log10_scaled(w, prec), 10) for w in rule_u.weights]
+        k_rat, k_dec = _rat_str(k_first), format_sig(to_hp(k_first, prec), 16)
+        doc.append({"n": n, "convention": T01, "nodes": nodes_t, "weights": weights,
+                    "log10_scaled_weights": logs,
+                    "leading_error": {"rational": k_rat, "decimal": k_dec}})
+        if lines:
+            lines.append("")
+        lines += [
+            f"n={n}  ({n + 1} {'point' if n == 0 else 'points'}, degree {rule_u.degree})",
+            f"  U  (u) = {pair.denominator.format('u')}",
+            f"  U' (u) = {pair.numerator.format('u')}",
+            f"  T  (t) = {t_poly.format('t')}",
+            f"  T' (t) = {t_prime.format('t')}",
+            f"  weight polynomial (u) = {weight_polynomial(n).format('u')}",
+            f"  leading error: k[{2 * n + 2}] = {k_rat} ~ {k_dec}  (u-form constant {_rat_str(c)})",
+            "  j   node_t              node_u               weight              log10(1e9*R)",
         ]
-    ]
-    for e in entries:
-        for j in range(e["points"]):
-            rows.append(
-                [
-                    e["n"],
-                    j,
-                    e["nodes_t"][j],
-                    e["nodes_u"][j],
-                    e["weights"][j],
-                    e["logs"][j],
-                    _rat_str(e["k_first"]),
-                    e["k_first_dec"],
-                ]
-            )
-    return _csv(rows)
-
-
-def cmd_tables(n_min: int, n_max: int, fmt: str, prec: int) -> str:
-    entries = [_table_entry(n, prec) for n in range(n_min, n_max + 1)]
-    if fmt == "json":
-        return _tables_json(entries)
-    if fmt == "csv":
-        return _tables_csv(entries)
-    return _tables_text(entries)
+        for j, row in enumerate(zip(nodes_t, nodes_u, weights, logs)):
+            rows.append([n, j, *row, k_rat, k_dec])
+            lines.append(f"  {j:<3d} {row[0]:<19s} {row[1]:<20s} {row[2]:<19s} {row[3]}")
+    return Report(doc, TABLES_HEADER, rows, lines)
 
 
 # -- demo ------------------------------------------------------------------
 
 
-def cmd_demo(n_max: int, prec: int) -> str:
+def cmd_demo(args, parser) -> Report:
+    if not (0 <= args.n_max <= MAX_ORDER):
+        parser.error(f"need 0 <= n-max <= {MAX_ORDER}")
+    prec = args.prec
     f = named_integrand("reciprocal-log", prec)
-    values = []
-    terms = []
-    for n in range(n_max + 1):
-        rule = gauss_rule(n, prec, convention=T01)
-        values.append(apply_rule(rule, f, DEMO_FROM, DEMO_WIDTH, prec))
-        terms.append(node_terms(rule, f, DEMO_FROM, DEMO_WIDTH, prec))
-    rendered = [format_fixed(v, 6 if n <= 5 else 7) for n, v in enumerate(values)]
-    final = rendered[-1]
-    out = []
-    for n, (text, row) in enumerate(zip(rendered, terms)):
-        stable = ""
-        for a, b in zip(text, final):
-            if a != b:
-                break
-            stable += a
-        out.append(f"n={n}  value={text}  stable={stable}")
-        for j, term in enumerate(row):
-            out.append(f"  term[{j}]={format_fixed(term, 7)}")
-    out.append(f"Bessel: {BESSEL_REFERENCE}")
-    return "\n".join(out) + "\n"
+    rules = [gauss_rule(n, prec, convention=T01) for n in range(args.n_max + 1)]
+    values = [format_fixed(apply_rule(rule, f, DEMO_FROM, DEMO_WIDTH, prec), 6 if n <= 5 else 7)
+              for n, rule in enumerate(rules)]
+    doc, rows, lines = [], [], []
+    for n, (rule, value) in enumerate(zip(rules, values)):
+        terms = [format_fixed(t, 7) for t in node_terms(rule, f, DEMO_FROM, DEMO_WIDTH, prec)]
+        stable = os.path.commonprefix([value, values[-1]])
+        doc.append({"n": n, "value": value, "stable": stable, "terms": terms})
+        rows += [[n, value, stable, j, term] for j, term in enumerate(terms)]
+        lines.append(f"n={n}  value={value}  stable={stable}")
+        lines += [f"  term[{j}]={term}" for j, term in enumerate(terms)]
+    lines.append(f"Bessel: {BESSEL_REFERENCE}")
+    return Report(doc, ["n", "value", "stable", "term_index", "term"], rows, lines)
 
 
 # -- integrate -------------------------------------------------------------
 
 
-def _build_rule(kind: str, n: int, prec: int) -> QuadRule:
-    if kind == "gauss":
-        return gauss_rule(n, prec, convention=T01)
-    return newton_cotes(n, prec)
+def _build_rule(args, parser) -> QuadRule:
+    lowest = 0 if args.rule == "gauss" else 1
+    if not (lowest <= args.n <= MAX_ORDER):
+        parser.error(f"{args.rule} rules support {lowest} <= n <= {MAX_ORDER}")
+    if args.rule == "gauss":
+        return gauss_rule(args.n, args.prec, convention=T01)
+    return newton_cotes(args.n, args.prec)
 
 
 def _parse_decimal(text: str, what: str, prec: int) -> Decimal:
@@ -283,8 +237,8 @@ def _warn_if_pole(start: Decimal, width: Decimal, prec: int) -> None:
               f"there and the printed value approximates nothing", file=sys.stderr)
 
 
-def cmd_integrate(args, parser) -> int:
-    """Write the integral to stdout; data errors raise DataError."""
+def cmd_integrate(args, parser) -> Report:
+    rule = _build_rule(args, parser)
     prec = args.prec
     try:
         start = _parse_decimal(args.start, "--from", prec)
@@ -293,37 +247,34 @@ def cmd_integrate(args, parser) -> int:
         parser.error(str(exc))
     if width == 0:
         parser.error("--width must be nonzero")
-    rule = _build_rule(args.rule, args.n, prec)
-    fmt = args.format
     if args.samples:
         try:
             values = _read_samples(args.samples, args.rule, args.n, prec)
         except (OSError, ValueError) as exc:
-            raise DataError(f"bad samples file: {exc}") from None
+            raise CliError(f"bad samples file: {exc}") from None
         if len(values) != rule.npoints:
-            raise DataError(f"samples file has {len(values)} values, rule needs {rule.npoints}")
+            raise CliError(f"samples file has {len(values)} values, rule needs {rule.npoints}")
         try:
             with localcontext(working_context(prec)):
                 value = width * sum(
                     (w * a for w, a in zip(rule.weights, values)), Decimal(0)
                 )
         except Overflow:
-            raise DataError("the weighted sum of the samples overflows the decimal "
-                            "exponent range") from None
+            raise CliError("the weighted sum of the samples overflows the decimal "
+                           "exponent range") from None
     else:
         if not args.fn:
             parser.error("one of --fn or --samples is required")
         try:
             f = named_integrand(args.fn, prec)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise CliError(str(exc), code=2) from None
         try:
             value = apply_rule(rule, f, start, width, prec)
         except RuntimeError as exc:
-            raise DataError(str(exc)) from None
+            raise CliError(str(exc)) from None
         except Overflow:
-            raise DataError("the integral overflows the decimal exponent range") from None
+            raise CliError("the integral overflows the decimal exponent range") from None
         if args.fn == "reciprocal-log":
             _warn_if_pole(start, width, prec)
     result = {"rule": args.rule, "n": args.n, "value": format_sig(value, 16)}
@@ -337,35 +288,20 @@ def cmd_integrate(args, parser) -> int:
         result["exact_value"] = _rat_str(truth - err)
         result["exact_error"] = _rat_str(err)
         result["true_integral"] = _rat_str(truth)
-    if fmt == "json":
-        sys.stdout.write(_json_dumps(result))
-    elif fmt == "csv":
-        sys.stdout.write(_csv([list(result.keys()), list(result.values())]))
-    else:
-        for key, val in result.items():
-            sys.stdout.write(f"{key}={val}\n")
-    return 0
+    return Report(result, list(result), [list(result.values())],
+                  [f"{key}={val}" for key, val in result.items()])
 
 
 # -- error coefficients ------------------------------------------------------
 
 
-def cmd_error_coeffs(rule_kind: str, n: int, count: int, fmt: str, prec: int) -> str:
-    rule = _build_rule(rule_kind, n, prec)
-    ks = error_coefficients(rule, count, prec)
-    if fmt == "json":
-        return _json_dumps(
-            {
-                "rule": rule_kind,
-                "n": n,
-                "convention": rule.convention,
-                "k": [_rat_str(k) for k in ks.k],
-            }
-        )
-    if fmt == "csv":
-        return _csv([["m", "k"]] + [[m, _rat_str(k)] for m, k in enumerate(ks.k)])
-    lines = [f"k[{m}]={_rat_str(k)}" for m, k in enumerate(ks.k)]
-    return "\n".join(lines) + "\n"
+def cmd_error_coeffs(args, parser) -> Report:
+    rule = _build_rule(args, parser)
+    if not (1 <= args.K <= 64):
+        parser.error("need 1 <= K <= 64")
+    ks = [_rat_str(k) for k in error_coefficients(rule, args.K, args.prec).k]
+    return Report({"rule": args.rule, "n": args.n, "convention": rule.convention, "k": ks},
+                  ["m", "k"], list(enumerate(ks)), [f"k[{m}]={k}" for m, k in enumerate(ks)])
 
 
 # -- argument parsing --------------------------------------------------------
@@ -396,12 +332,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tables = sub.add_parser("tables", parents=[common], help="node/weight tables")
     p_tables.add_argument("--n-min", type=int, default=0)
     p_tables.add_argument("--n-max", type=int, default=6)
+    p_tables.set_defaults(run=cmd_tables)
 
     p_demo = sub.add_parser(
         "demo-1815", parents=[common],
         help="seven-rule convergence demo for the integral of 1/ln x on [100000, 200000]",
     )
     p_demo.add_argument("--n-max", type=int, default=6)
+    p_demo.set_defaults(run=cmd_demo)
 
     p_int = sub.add_parser("integrate", parents=[common], help="apply a rule")
     p_int.add_argument("--rule", choices=["gauss", "cotes"], default="gauss")
@@ -410,11 +348,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--samples", help="file of node-aligned integrand values")
     p_int.add_argument("--from", dest="start", default="0", help="lower limit g")
     p_int.add_argument("--width", default="1", help="interval width Delta")
+    p_int.set_defaults(run=cmd_integrate)
 
     p_err = sub.add_parser("error-coeffs", parents=[common], help="error coefficients")
     p_err.add_argument("--rule", choices=["gauss", "cotes"], default="gauss")
     p_err.add_argument("--n", type=int, required=True)
     p_err.add_argument("--K", type=int, default=8, help="number of coefficients (max 64)")
+    p_err.set_defaults(run=cmd_error_coeffs)
 
     return parser
 
@@ -461,41 +401,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     args.prec = _resolve_cli_precision(args, parser)
-
-    if args.command == "tables":
-        if not (0 <= args.n_min <= args.n_max <= MAX_ORDER):
-            parser.error(f"need 0 <= n-min <= n-max <= {MAX_ORDER}")
-        sys.stdout.write(cmd_tables(args.n_min, args.n_max, args.format, args.prec))
-        return 0
-
-    if args.command == "demo-1815":
-        if not (0 <= args.n_max <= MAX_ORDER):
-            parser.error(f"need 0 <= n-max <= {MAX_ORDER}")
-        sys.stdout.write(cmd_demo(args.n_max, args.prec))
-        return 0
-
-    if args.command in ("integrate", "error-coeffs"):
-        lowest = 0 if args.rule == "gauss" else 1
-        if not (lowest <= args.n <= MAX_ORDER):
-            parser.error(f"{args.rule} rules support {lowest} <= n <= {MAX_ORDER}")
-
-    if args.command == "integrate":
-        try:
-            return cmd_integrate(args, parser)
-        except DataError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-
-    if args.command == "error-coeffs":
-        if not (1 <= args.K <= 64):
-            parser.error("need 1 <= K <= 64")
-        sys.stdout.write(
-            cmd_error_coeffs(args.rule, args.n, args.K, args.format, args.prec)
-        )
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    try:
+        report = args.run(args, parser)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    sys.stdout.write(_render(args.format, report))
+    return 0
 
 
 def entry() -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -316,11 +316,41 @@ def to_convention(rule: QuadRule, convention: str, prec: int | None = None) -> Q
 # -- built-in integrands -------------------------------------------------
 
 
-def parse_poly_spec(spec: str) -> RatPoly:
-    """Parse ``poly:c0,c1,...`` coefficient lists (ascending, Fractions)."""
-    body = spec.split(":", 1)[1] if spec.startswith("poly:") else spec
+# A decimal coefficient of a ``poly:`` spec may span at most this many digits:
+# its significant digits plus the magnitude of its exponent.  That bounds the
+# numerator and denominator of its Fraction, which Fraction builds in full
+# (Fraction('1e9999999') takes seconds), well inside the 4300 digits that
+# Python converts to a string.
+POLY_MAX_DIGITS = 1000
+
+
+def _check_coefficient_size(text: str) -> None:
     try:
-        coeffs = [Fraction(part.strip()) for part in body.split(",") if part.strip()]
+        _, digits, exponent = Decimal(text).as_tuple()
+        # NaN and Infinity carry a letter for an exponent; Fraction refuses them.
+        too_big = isinstance(exponent, int) and len(digits) + abs(exponent) > POLY_MAX_DIGITS
+    except InvalidOperation:
+        # p/q is left to Fraction.  A text with an exponent that Decimal
+        # refuses is malformed or has an exponent beyond Decimal's range.
+        too_big = "e" in text.lower()
+    if too_big:
+        raise ValueError(f"polynomial coefficient {text!r} is not a decimal of at most "
+                         f"{POLY_MAX_DIGITS} digits")
+
+
+def parse_poly_spec(spec: str) -> RatPoly:
+    """Parse ``poly:c0,c1,...`` coefficient lists (ascending, Fractions).
+
+    Each coefficient is an integer, a decimal (exponent form allowed) or
+    ``p/q``; a decimal spanning more than ``POLY_MAX_DIGITS`` digits is refused
+    with ValueError before any Fraction is built.
+    """
+    body = spec.split(":", 1)[1] if spec.startswith("poly:") else spec
+    parts = [part.strip() for part in body.split(",") if part.strip()]
+    for part in parts:
+        _check_coefficient_size(part)
+    try:
+        coeffs = [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad polynomial coefficient list {body!r}") from exc
     if not coeffs:

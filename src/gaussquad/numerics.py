@@ -18,7 +18,6 @@ anything above 1000, the largest precision the package is tested at.
 
 from __future__ import annotations
 
-import operator
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -29,16 +28,6 @@ DEFAULT_PRECISION = 50
 MIN_PRECISION = 40
 MAX_PRECISION = 1000
 GUARD_DIGITS = 10
-
-_RAT_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "−": operator.sub,   # minus sign
-    "*": operator.mul,
-    "×": operator.mul,   # multiplication sign
-    "/": operator.truediv,
-    "÷": operator.truediv,  # division sign
-}
 
 # ln(2) cache keyed by working-context precision.
 _LN2_CACHE: dict[int, Decimal] = {}
@@ -63,19 +52,6 @@ def round_to(x: Decimal, prec: int) -> Decimal:
     """Round ``x`` to ``prec`` significant digits (half even)."""
     with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN)):
         return +x
-
-
-def rat_arith(a: Fraction | int, b: Fraction | int, op: str) -> Fraction:
-    """Combine two rationals with one of ``+ - * /`` (unicode aliases accepted).
-
-    Division by zero raises :class:`ZeroDivisionError`; results are always in
-    canonical reduced form.
-    """
-    try:
-        fn = _RAT_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown rational operation {op!r}") from None
-    return fn(Fraction(a), Fraction(b))
 
 
 def _as_decimal(value) -> Decimal:

@@ -1,10 +1,20 @@
 """Command-line surface: formats, round trips, exit codes, data errors."""
 
+import contextlib
+import csv
+import io
 import json
+import os
 import re
+import tempfile
+import time
 from decimal import Decimal
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussquad.cli import main
 from oracles import DEMO_PRINTED, demo_gauss_totals
@@ -53,6 +63,30 @@ class TestDemo:
         with pytest.raises(SystemExit) as info:
             main(["demo-1815", "--n-max", "13"])
         assert info.value.code == 2
+
+    def test_json_has_one_entry_per_order(self, capsys):
+        code, out, _ = run_cli(capsys, "demo-1815", "--n-max", "3", "--format", "json")
+        assert code == 0
+        entries = json.loads(out)
+        assert [e["n"] for e in entries] == [0, 1, 2, 3]
+        _, text, _ = run_cli(capsys, "demo-1815", "--n-max", "3")
+        for e in entries:
+            assert list(e) == ["n", "value", "stable", "terms"]
+            assert len(e["terms"]) == e["n"] + 1
+            assert e["value"].startswith(e["stable"])
+            assert f"n={e['n']}  value={e['value']}  stable={e['stable']}\n" in text
+        assert entries[-1]["stable"] == entries[-1]["value"]
+        # Byte-identical re-render after a parse round trip.
+        assert json.dumps(entries, indent=2, ensure_ascii=False) + "\n" == out
+
+    def test_csv_has_one_row_per_term(self, capsys):
+        code, out, _ = run_cli(capsys, "demo-1815", "--n-max", "3", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n", "value", "stable", "term_index", "term"]
+        _, doc, _ = run_cli(capsys, "demo-1815", "--n-max", "3", "--format", "json")
+        assert rows[1:] == [[str(e["n"]), e["value"], e["stable"], str(j), term]
+                            for e in json.loads(doc) for j, term in enumerate(e["terms"])]
 
 
 class TestTables:
@@ -216,6 +250,16 @@ class TestIntegrate:
         code, _, err = run_cli(capsys, "integrate", "--n", "3", "--fn", "reciprocal-log",
                                "--from", "1.5", "--width", "2")
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("spec", ["poly:1e5000", "poly:1e9999999"])
+    def test_oversized_coefficient_is_a_quick_usage_error(self, capsys, spec):
+        # Refused from the Decimal parse: 1e5000 makes an exact report too long to
+        # print, and Fraction('1e9999999') alone takes seconds to build.
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "integrate", "--n", "2", "--fn", spec)
+        assert time.perf_counter() - began < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: polynomial coefficient") and err.count("\n") == 1
 
     def test_wide_but_representable_interval_runs(self, capsys):
         code, out, _ = run_cli(
@@ -398,3 +442,97 @@ class TestPrecisionPlumbing:
         with pytest.raises(SystemExit) as info:
             main(["tables", "--n-max", "0"])
         assert info.value.code == 2
+
+
+# -- exit-code fuzz ----------------------------------------------------------
+
+# Each strategy draws valid values more often than invalid ones, so that the
+# property reaches the computing paths as well as the refusals.
+ORDERS = st.integers(-1, 3)
+SMALL_DECIMALS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-40, 40)),
+)
+DECIMALS = st.one_of(
+    SMALL_DECIMALS,
+    SMALL_DECIMALS,
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-1000001, 1000001)),
+    st.sampled_from(["0.5", "-2.5E-3", "1e999990", "-1e999990", "1e-999999999", "NaN",
+                     "-Infinity", "sNaN", "one", "", "1e", "--1"]),
+)
+COEFFICIENTS = st.one_of(
+    SMALL_DECIMALS,
+    st.fractions(min_value=-10, max_value=10, max_denominator=50).map(str),
+    DECIMALS,
+    st.builds("{}e{}".format, st.integers(-9, 9), st.sampled_from([999, -999, 1000, 9999999,
+                                                                   10**20])),
+    st.sampled_from(["x", "1/0", "Infinity", "1.5.2", " 3 "]),
+)
+INTEGRANDS = st.one_of(
+    st.sampled_from(["reciprocal-log", "runge", "cosine", "", "poly:"]),
+    st.lists(COEFFICIENTS, min_size=1, max_size=4).map(lambda cs: "poly:" + ",".join(cs)),
+)
+SAMPLE_LINES = st.one_of(
+    SMALL_DECIMALS,
+    DECIMALS,
+    st.sampled_from(["# rule gauss n=2", "#rule cotes n=3 convention=t", "# rule gauss n=x",
+                     "#", "9e999999"]),
+)
+# Precisions above the maximum are drawn too: they are refused before any work.
+PRECISIONS = st.one_of(st.none(), st.integers(40, 60), st.none(), st.integers(40, 60),
+                       st.sampled_from([-1, 39, 1001, 5000, 10**30]))
+ENVIRONMENTS = st.sampled_from([None, None, None, "44", "5000", "many"])
+
+
+@st.composite
+def invocations(draw):
+    """An argv for quad and the lines of a samples file it may name."""
+    command = draw(st.sampled_from(["tables", "demo-1815", "integrate", "error-coeffs"]))
+    argv, lines = [command], None
+    if command == "tables":
+        argv += ["--n-min", str(draw(ORDERS)), "--n-max", str(draw(ORDERS))]
+    elif command == "demo-1815":
+        argv += ["--n-max", str(draw(ORDERS))]
+    else:
+        argv += ["--rule", draw(st.sampled_from(["gauss", "cotes"])), "--n", str(draw(ORDERS))]
+    if command == "error-coeffs":
+        argv += ["--K", str(draw(st.sampled_from([1, 2, 5, 8, 0, 65])))]
+    if command == "integrate":
+        source = draw(st.sampled_from(["--fn", "--fn", "--samples", None]))
+        if source == "--fn":
+            argv += ["--fn", draw(INTEGRANDS)]
+        elif source == "--samples":
+            lines = draw(st.one_of(st.lists(SAMPLE_LINES, max_size=5), st.none()))
+            argv += ["--samples", "samples.txt"]
+        for flag in ("--from", "--width"):
+            if draw(st.booleans()):
+                argv += [flag, draw(DECIMALS)]
+    prec = draw(PRECISIONS)
+    if prec is not None:
+        argv += ["--precision", str(prec)]
+    argv += ["--format", draw(st.sampled_from(["text", "csv", "json"]))]
+    return argv, lines
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=invocations(), env=ENVIRONMENTS)
+def test_exit_codes_are_0_2_or_3(case, env):
+    """Every invocation exits 0, 2 or 3 without a traceback; a success prints no NaN."""
+    argv, lines = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("QUAD_PRECISION", None)
+        if env is not None:
+            os.environ["QUAD_PRECISION"] = env
+        if lines is not None:
+            (Path(tmp) / "samples.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [str(Path(tmp) / a) if a == "samples.txt" else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()

@@ -17,6 +17,7 @@ from gaussquad.interprule import (
     named_integrand,
     newton_cotes,
     node_terms,
+    parse_poly_spec,
     to_convention,
 )
 from gaussquad.ratpoly import RatPoly
@@ -306,6 +307,19 @@ class TestIntegrands:
     def test_bad_poly_spec(self):
         with pytest.raises(ValueError):
             named_integrand("poly:1,x")
+
+    def test_poly_coefficients_in_every_form(self):
+        coeffs = parse_poly_spec("poly:1e-30,2.5e3,-3/7,1e999,-1e-999,12").coeffs
+        assert list(coeffs) == [Fraction(1, 10**30), Fraction(2500), Fraction(-3, 7),
+                                Fraction(10**999), Fraction(-1, 10**999), Fraction(12)]
+
+    @pytest.mark.parametrize("spec", ["poly:1e1000", "poly:1e-1000", "poly:12e999",
+                                      "poly:1,1e9999999", "poly:1e99999999999999999999",
+                                      "poly:1e"])
+    def test_poly_coefficient_digit_bound(self, spec):
+        # Refused from the Decimal parse: Fraction('1e9999999') alone takes seconds.
+        with pytest.raises(ValueError, match="at most 1000 digits"):
+            parse_poly_spec(spec)
 
 
 class TestQuadRuleValidation:

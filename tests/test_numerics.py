@@ -1,4 +1,4 @@
-"""Scalar layer: exact rational ops, decimal ln/log10, conversions, rendering."""
+"""Scalar layer: decimal ln/log10, conversions, rendering."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -14,47 +14,14 @@ from gaussquad.numerics import (
     format_sig,
     hp_ln,
     hp_log10_scaled,
-    rat_arith,
     resolve_precision,
     to_hp,
 )
 from oracles import LN_2, LN_100000, LOG10_SCALED_HALF
 
-nonzero_rationals = st.fractions(
-    min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=997
-).filter(lambda f: f != 0)
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=997
 )
-
-
-class TestRatArith:
-    def test_addition(self):
-        assert rat_arith(Fraction(1, 3), Fraction(1, 6), "+") == Fraction(1, 2)
-
-    def test_cf_term_product(self):
-        assert rat_arith(Fraction(1, 3), Fraction(4, 15), "*") == Fraction(4, 45)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_arith(Fraction(1, 2), Fraction(0), "/")
-
-    def test_unicode_aliases(self):
-        assert rat_arith(1, 2, "×") == 2
-        assert rat_arith(1, 2, "÷") == Fraction(1, 2)
-        assert rat_arith(1, 2, "−") == -1
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            rat_arith(1, 2, "%")
-
-    @given(a=rationals, b=rationals)
-    def test_add_then_subtract_is_identity(self, a, b):
-        assert rat_arith(rat_arith(a, b, "+"), b, "-") == a
-
-    @given(a=nonzero_rationals)
-    def test_multiply_by_reciprocal(self, a):
-        assert rat_arith(a, 1 / a, "*") == 1
 
 
 class TestHpLn:
