@@ -62,6 +62,7 @@ from .numerics import (
 )
 
 MAX_ORDER = 12
+MAX_EXACT_DIGITS = 4300
 
 DEMO_FROM = 100000
 DEMO_WIDTH = 100000
@@ -101,6 +102,13 @@ def _render(fmt: str, report: Report) -> str:
 
 
 def _rat_str(x: Fraction) -> str:
+    # Python refuses to print an int of more than 4300 digits by default; a
+    # number that may exceed that is a data error, found from its bit length
+    # before str() is tried.  bits * log10(2) + 1 bounds the digit count.
+    for part in (x.numerator, x.denominator):
+        if part.bit_length() * 30103 // 100000 + 1 > MAX_EXACT_DIGITS:
+            raise CliError(f"an exact value may have more than {MAX_EXACT_DIGITS} digits "
+                           f"in its numerator or denominator; it is not printed")
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 

@@ -371,10 +371,21 @@ def mod_inverse_eval(Z: RatPoly, zeta: RatPoly, zetap: RatPoly) -> RatPoly:
         raise ValueError("zeta and zetap share a root (zeta is identically zero)")
     if zetap.degree == 0:
         return RatPoly.zero()
-    g, s, _ = poly_ext_gcd(zeta, zetap)
-    if g.degree > 0:
+    # poly_ext_gcd(zeta, zetap) without the cofactor of zetap, which the
+    # inverse does not need: s * zeta = r mod zetap at every step.
+    r0, s0 = zeta, RatPoly.one()
+    r1, s1 = zetap, RatPoly.zero()
+    while not r1.is_zero:
+        q, r = r0.divrem(r1)
+        s = s0 - q * s1
+        if not r.is_zero:
+            inv = 1 / r.leading
+            r, s = r.scale(inv), s.scale(inv)
+        r0, s0, r1, s1 = r1, s1, r, s
+    if r0.degree > 0:
         raise ValueError(
-            f"zeta and zetap share a root (gcd has degree {g.degree})"
+            f"zeta and zetap share a root (gcd has degree {r0.degree})"
         )
-    # g is the monic unit 1, so s is the inverse of zeta modulo zetap.
-    return (Z * s) % zetap
+    # Every remainder was made monic, so r0 is 1 and s0 is the inverse of
+    # zeta modulo zetap.
+    return (Z * s0) % zetap

@@ -2,15 +2,23 @@
 
 The polynomials handled here have a definite parity, all roots real and
 simple inside (-1, 1), and at most one root at the origin.  Parity is
-exploited: W(u) = u**s * Q(u**2) with s in {0, 1}, the roots of Q are
-isolated in (0, 1) by exact sign changes of Q at rational grid points (so
-isolation can never be fooled by rounding), and each bracket is polished
-in decimal arithmetic by safeguarded Newton: each evaluation narrows the
+exploited: W(u) = u**s * Q(u**2) with s in {0, 1}, and the roots of Q are
+bracketed in (0, 1) by exact sign changes of Q at rational points, so
+isolation can never be fooled by rounding.  A caller who knows where the
+roots lie (for Legendre polynomials, Bruns' separators) passes the points;
+they are certified exactly: Q must be nonzero at each, change sign across
+every consecutive pair, and the pairs must number deg Q, which puts exactly
+one root in each.  Points that fail any check are ignored and the generic
+path, a doubling grid of up to 1,024 panels, isolates instead.  Each
+bracket is polished in decimal arithmetic by safeguarded Newton from a
+caller-supplied start or the midpoint: each evaluation narrows the
 bracket, and a step that would leave it is replaced by one bisection step,
 after which Newton resumes.  The caller may supply the evaluation of
 (W, W'); the default is Horner's scheme on the monomial coefficients.
 Negative roots come from mirroring, and a root at the origin is exact.
 
+Floats may propose points and starts, but never decide a result: exact
+signs certify every bracket and the residual gate below every root.
 Violations of the expected root structure are detected and reported as
 :class:`RootIsolationError`; the module never silently returns a wrong
 root count, nor a root whose residual |W/W'|, evaluated at the rounded
@@ -22,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .numerics import MAX_PRECISION, _as_decimal, resolve_precision, round_to, working_context
 from .ratpoly import RatPoly
@@ -45,10 +53,12 @@ class RootIsolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootSet:
-    """Sorted roots plus the largest Newton residual |W(r)/W'(r)| observed."""
+    """Sorted roots, the largest Newton residual |W(r)/W'(r)| observed, and
+    W' at each root as the evaluator gave it at the rounded root."""
 
     roots: tuple[Decimal, ...]
     residual_bound: Decimal
+    derivatives: tuple[Decimal, ...]
 
 
 def _parity_split(poly: RatPoly) -> tuple[int, RatPoly]:
@@ -59,6 +69,26 @@ def _parity_split(poly: RatPoly) -> tuple[int, RatPoly]:
         if c != 0 and i % 2 != s:
             raise ValueError("polynomial does not have a definite parity")
     return s, RatPoly(poly.coeffs[s::2])
+
+
+def _separator_brackets(q: RatPoly, separators: Sequence[Fraction]
+                        ) -> list[tuple[Fraction, Fraction, int]] | None:
+    # Brackets (lo, hi, sign of q at lo) between consecutive separators, or
+    # None unless the points rise strictly in [0, 1], number deg q + 1, and
+    # q is nonzero at each and changes sign across every pair: deg q sign
+    # changes on deg q disjoint intervals leave exactly one root in each.
+    points = [Fraction(x) for x in separators]
+    if (len(points) != q.degree + 1 or not 0 <= points[0] or not points[-1] <= 1
+            or any(a >= b for a, b in zip(points, points[1:]))):
+        return None
+    signs: list[int] = []
+    for x in points:
+        value = q.eval(x)
+        sign = (value > 0) - (value < 0)
+        if sign == 0 or (signs and sign == signs[-1]):
+            return None
+        signs.append(sign)
+    return list(zip(points, points[1:], signs))
 
 
 def _isolate_unit_interval(q: RatPoly) -> list[tuple[Fraction, Fraction, int]]:
@@ -99,14 +129,20 @@ def _isolate_unit_interval(q: RatPoly) -> list[tuple[Fraction, Fraction, int]]:
 
 
 def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal, sign_lo: int,
-            tol: Decimal) -> Decimal:
+            tol: Decimal, start: Decimal | None = None) -> Decimal:
     # Safeguarded Newton on [lo, hi], whose ends bracket one sign change of
     # W, with sign_lo the sign at lo.  Every evaluation shrinks the bracket
     # to the side that keeps the root; a Newton step that would leave it is
     # replaced by one bisection step, and Newton resumes from there.  The
     # iterate stays strictly inside the bracket, so an evaluator is never
-    # asked for a value at a bracket end such as u = 1.
-    x = (lo + hi) / 2
+    # asked for a value at a bracket end such as u = 1: a start is clipped
+    # to the inner 7/8 of the bracket, and without one Newton starts at the
+    # midpoint.
+    if start is None:
+        x = (lo + hi) / 2
+    else:
+        margin = (hi - lo) / 16
+        x = min(max(start, lo + margin), hi - margin)
     for _ in range(_MAX_STEPS):
         fx, dfx = evaluate(x)
         if fx == 0:
@@ -130,7 +166,9 @@ def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal, sign_lo: int,
 
 
 def real_roots_symmetric(poly: RatPoly, prec: int | None = None,
-                         evaluate: Evaluator | None = None) -> RootSet:
+                         evaluate: Evaluator | None = None, *,
+                         separators: Sequence[Fraction] | None = None,
+                         starts: Sequence[Decimal] | None = None) -> RootSet:
     """All real roots of a definite-parity polynomial with roots in (-1, 1).
 
     The returned roots are strictly increasing, symmetric about the origin,
@@ -140,6 +178,14 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None = None,
     context; by default it is Horner's scheme on the monomial coefficients,
     which loses digits to cancellation at large degree, where a caller with
     a better-conditioned evaluation of the same polynomial should pass it.
+    The result's ``derivatives`` are the evaluator's poly' at each returned
+    root, mirrored by parity for the negative ones.
+
+    ``separators``, rationals rising in [0, 1] in q = u**2, one more than
+    there are positive roots, bracket one root between each consecutive
+    pair; they are used only once exact signs certify them (see the module
+    docstring), else the grid isolates.  ``starts``, one per positive root
+    in increasing order, start Newton in place of the bracket midpoints.
     Identical input and precision give bit-identical output.
     """
     prec = resolve_precision(prec)
@@ -148,7 +194,11 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None = None,
     if poly.leading != 1:
         raise ValueError("polynomial must be monic")
     s, q = _parity_split(poly)
-    brackets = _isolate_unit_interval(q)
+    if starts is not None and len(starts) != q.degree:
+        raise ValueError(f"need {q.degree} starts, one per positive root, got {len(starts)}")
+    brackets = None if separators is None else _separator_brackets(q, separators)
+    if brackets is None:
+        brackets = _isolate_unit_interval(q)
     if evaluate is None:
         deriv = poly.derivative()
 
@@ -156,23 +206,23 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None = None,
             return poly.eval_hp(x), deriv.eval_hp(x)
 
     tol = Decimal(1).scaleb(-(prec - 5))
-    positives: list[Decimal] = []
+    positives: list[tuple[Decimal, Decimal]] = []
     residual = Decimal(0)
     with localcontext(working_context(prec)):
-        for qlo, qhi, sign_lo in brackets:
+        for i, (qlo, qhi, sign_lo) in enumerate(brackets):
             if qlo == qhi:
                 root = _as_decimal(qlo).sqrt()
             else:
                 # Sign of W on (0,1) matches the sign of Q at the q-bracket ends.
                 root = _polish(evaluate, _as_decimal(qlo).sqrt(), _as_decimal(qhi).sqrt(),
-                               sign_lo, tol)
+                               sign_lo, tol, None if starts is None else starts[i])
             root = round_to(root, prec)
             fx, dfx = evaluate(root)
             if dfx == 0:
                 raise RootIsolationError("derivative vanished at a computed root",
                                          bracket=(qlo, qhi))
             residual = max(residual, abs(fx / dfx))
-            positives.append(root)
+            positives.append((root, dfx))
         residual = round_to(residual, prec)
         if residual > tol:
             raise RootIsolationError(
@@ -180,16 +230,18 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None = None,
                 f"the evaluation of the polynomial lost too many digits"
             )
         positives.sort()
-        if positives and positives[-1] >= 1:
+        if positives and positives[-1][0] >= 1:
             raise RootIsolationError(
-                f"root {positives[-1]} is not inside the open interval (-1, 1)"
+                f"root {positives[-1][0]} is not inside the open interval (-1, 1)"
             )
-        roots = [-r for r in reversed(positives)]
+        # W' has the parity opposite to W's: W'(-r) = -W'(r) when W is even.
+        pairs = [(-r, d if s else -d) for r, d in reversed(positives)]
         if s == 1:
-            roots.append(Decimal(0))
-        roots.extend(positives)
-        if len(roots) != poly.degree:
+            pairs.append((Decimal(0), evaluate(Decimal(0))[1]))
+        pairs.extend(positives)
+        if len(pairs) != poly.degree:
             raise RootIsolationError(
-                f"found {len(roots)} roots for a degree {poly.degree} polynomial"
+                f"found {len(pairs)} roots for a degree {poly.degree} polynomial"
             )
-    return RootSet(roots=tuple(roots), residual_bound=residual)
+    return RootSet(roots=tuple(r for r, _ in pairs), residual_bound=residual,
+                   derivatives=tuple(d for _, d in pairs))

@@ -9,6 +9,7 @@ import re
 import tempfile
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussquad.cli import main
+from gaussquad.cli import CliError, _rat_str, main
 from oracles import DEMO_PRINTED, demo_gauss_totals
 
 
@@ -260,6 +261,23 @@ class TestIntegrate:
         assert time.perf_counter() - began < 1
         assert (code, out) == (2, "")
         assert err.startswith("error: polynomial coefficient") and err.count("\n") == 1
+
+    def test_unprintable_exact_report_is_a_data_error(self, capsys):
+        # Five coefficients 1/q with coprime 901-digit q give the exact
+        # integral a denominator of about 4,500 digits, past the 4,300 that
+        # Python converts to str; `--n 12` with 2,500 ones reaches the same
+        # limit through the error series, after seconds of exact work.
+        spec = "poly:" + ",".join(f"1/{10 ** 900 + 2 * i + 1}" for i in range(5))
+        code, out, err = run_cli(capsys, "integrate", "--n", "3", "--fn", spec)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: an exact value may have more than 4300 digits")
+        assert err.count("\n") == 1
+
+    def test_exact_values_print_up_to_the_digit_limit(self):
+        assert _rat_str(Fraction(10 ** 4299, 7)) == f"{10 ** 4299}/7"
+        for x in (Fraction(10 ** 4300), Fraction(1, 10 ** 4300)):
+            with pytest.raises(CliError, match="4300 digits"):
+                _rat_str(x)
 
     def test_wide_but_representable_interval_runs(self, capsys):
         code, out, _ = run_cli(

@@ -252,6 +252,36 @@ class TestLargeOrders:
         assert len(counts) == (n + 1) // 2
         assert max(counts) <= 12
 
+    @pytest.mark.parametrize("n", [151, 175, 199, 299])
+    def test_orders_past_the_isolation_grid(self, n):
+        # The 1,024-panel grid cannot separate the outermost roots here;
+        # Bruns' separators can.  Oracle nodes at ten more digits serve both
+        # the node and the weight check.
+        prec = 50
+        rule = gauss_rule(n, prec)
+        with localcontext(Context(prec=prec + 20)):
+            oracle = legendre_nodes(n + 1, prec + 10)
+            for node, weight, x in zip(rule.nodes, rule.weights, oracle, strict=True):
+                assert abs(node - x) <= Decimal(1).scaleb(-(prec - 2))
+                _, dp = legendre_eval(n + 1, x)
+                want = 1 / ((1 - x * x) * dp * dp)
+                assert abs(weight - want) <= want * Decimal(1).scaleb(-(prec - 5))
+
+    def test_asymptotic_starts_save_evaluations(self, monkeypatch):
+        # Evaluations of (W, W') per nonnegative node, Newton and residual
+        # check together: the weights reuse the residual check's W'.  The
+        # midpoint starts of the grid brackets took 7.3.
+        calls = []
+        exact = gausscf._denominator_and_derivative
+
+        def counting(x, v):
+            calls.append(x)
+            return exact(x, v)
+
+        monkeypatch.setattr(gausscf, "_denominator_and_derivative", counting)
+        gauss_rule(100, 50)
+        assert len(calls) / 51 <= 5.5
+
     def test_weight_sum_checked_at_rule_precision(self, monkeypatch):
         # Derivatives off by one part in 1e40 leave the nodes alone but move
         # the weights; the rule's own check catches what QuadRule's fixed
