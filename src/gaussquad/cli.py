@@ -62,7 +62,6 @@ from .numerics import (
 )
 
 MAX_ORDER = 12
-MAX_EXACT_DIGITS = 4300
 
 DEMO_FROM = 100000
 DEMO_WIDTH = 100000
@@ -102,12 +101,14 @@ def _render(fmt: str, report: Report) -> str:
 
 
 def _rat_str(x: Fraction) -> str:
-    # Python refuses to print an int of more than 4300 digits by default; a
-    # number that may exceed that is a data error, found from its bit length
-    # before str() is tried.  bits * log10(2) + 1 bounds the digit count.
+    # str() refuses an int with more digits than the interpreter's limit
+    # (4300 by default; 0, or no limit at all before Python 3.10.7, means
+    # none).  A number that may exceed it is a data error, found from its
+    # bit length before str() is tried: bits * log10(2) + 1 bounds the digits.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for part in (x.numerator, x.denominator):
-        if part.bit_length() * 30103 // 100000 + 1 > MAX_EXACT_DIGITS:
-            raise CliError(f"an exact value may have more than {MAX_EXACT_DIGITS} digits "
+        if limit and part.bit_length() * 30103 // 100000 + 1 > limit:
+            raise CliError(f"an exact value may have more than {limit} digits "
                            f"in its numerator or denominator; it is not printed")
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 

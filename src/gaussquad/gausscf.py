@@ -101,9 +101,12 @@ def _bruns_separators(m: int) -> list[Fraction]:
     # zero of P_m at an angle between (j - 1/2) pi/(m + 1/2) and
     # j pi/(m + 1/2), so one root of Q lies between each consecutive pair.
     # Floats only propose the points; real_roots_symmetric certifies them.
-    # A root lies at least about pi^2/m^3 from its separators in q, far more
-    # than the 2^-32 that denominators up to 2^32 can cost below m = 2000,
-    # and small denominators keep the exact checks cheap.
+    # Measured against tests/oracles.legendre_nodes for m = 1..600, every
+    # root of Q lies at least 0.95/m^2 from every separator in q (the
+    # tightest gap is next to q = 0, about 1.85/m^2 for large m).  Rounding
+    # to denominators up to 2^32 moves a point by less than 2^-32, which
+    # that margin covers up to m of several 10^4 by extrapolation, and
+    # small denominators keep the exact checks cheap.
     return [Fraction(math.cos(j * math.pi / (m + 0.5)) ** 2).limit_denominator(2 ** 32)
             for j in range(m // 2, -1, -1)]
 

@@ -337,25 +337,35 @@ class RatPoly:
         return _make(acc, self._den * dk)
 
 
+def _ext_gcd_s(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
+    # Extended Euclid tracking only the cofactor of a: returns (g, s) with
+    # g = gcd(a, b), monic or zero, and s*a = g mod b.  Remainders are made
+    # monic at every step, which keeps coefficient growth tame.
+    r0, s0 = a, RatPoly.one()
+    r1, s1 = b, RatPoly.zero()
+    while not r1.is_zero:
+        q, r = r0.divrem(r1)
+        s = s0 - q * s1
+        if not r.is_zero:
+            inv = 1 / r.leading
+            r, s = r.scale(inv), s.scale(inv)
+        r0, s0, r1, s1 = r1, s1, r, s
+    if not r0.is_zero and r0.leading != 1:
+        inv = 1 / r0.leading
+        r0, s0 = r0.scale(inv), s0.scale(inv)
+    return r0, s0
+
+
 def poly_ext_gcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
     """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g.
 
-    Remainders are normalized to monic at every step, which keeps
-    coefficient growth tame and makes g canonical (monic, or zero).
+    g is canonical (monic, or zero).  The cofactor t is the exact quotient
+    (g - s*a)/b, unique under the degree bounds of Euclid's cofactors.
     """
-    r0, s0, t0 = a, RatPoly.one(), RatPoly.zero()
-    r1, s1, t1 = b, RatPoly.zero(), RatPoly.one()
-    while not r1.is_zero:
-        q, r = r0.divrem(r1)
-        s, t = s0 - q * s1, t0 - q * t1
-        if not r.is_zero:
-            inv = 1 / r.leading
-            r, s, t = r.scale(inv), s.scale(inv), t.scale(inv)
-        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s, t
-    if not r0.is_zero and r0.leading != 1:
-        inv = 1 / r0.leading
-        r0, s0, t0 = r0.scale(inv), s0.scale(inv), t0.scale(inv)
-    return r0, s0, t0
+    g, s = _ext_gcd_s(a, b)
+    if b.is_zero:
+        return g, s, RatPoly.zero()
+    return g, s, (g - s * a).divrem(b)[0]
 
 
 def mod_inverse_eval(Z: RatPoly, zeta: RatPoly, zetap: RatPoly) -> RatPoly:
@@ -371,21 +381,10 @@ def mod_inverse_eval(Z: RatPoly, zeta: RatPoly, zetap: RatPoly) -> RatPoly:
         raise ValueError("zeta and zetap share a root (zeta is identically zero)")
     if zetap.degree == 0:
         return RatPoly.zero()
-    # poly_ext_gcd(zeta, zetap) without the cofactor of zetap, which the
-    # inverse does not need: s * zeta = r mod zetap at every step.
-    r0, s0 = zeta, RatPoly.one()
-    r1, s1 = zetap, RatPoly.zero()
-    while not r1.is_zero:
-        q, r = r0.divrem(r1)
-        s = s0 - q * s1
-        if not r.is_zero:
-            inv = 1 / r.leading
-            r, s = r.scale(inv), s.scale(inv)
-        r0, s0, r1, s1 = r1, s1, r, s
-    if r0.degree > 0:
+    g, s = _ext_gcd_s(zeta, zetap)
+    if g.degree > 0:
         raise ValueError(
-            f"zeta and zetap share a root (gcd has degree {r0.degree})"
+            f"zeta and zetap share a root (gcd has degree {g.degree})"
         )
-    # Every remainder was made monic, so r0 is 1 and s0 is the inverse of
-    # zeta modulo zetap.
-    return (Z * s0) % zetap
+    # g is the monic unit 1, so s is the inverse of zeta modulo zetap.
+    return (Z * s) % zetap

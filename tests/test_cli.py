@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 import time
 from decimal import Decimal
@@ -19,6 +20,16 @@ from hypothesis import strategies as st
 
 from gaussquad.cli import CliError, _rat_str, main
 from oracles import DEMO_PRINTED, demo_gauss_totals
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Setter for the interpreter's int-to-str digit limit, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
 
 
 def run_cli(capsys, *argv):
@@ -262,21 +273,31 @@ class TestIntegrate:
         assert (code, out) == (2, "")
         assert err.startswith("error: polynomial coefficient") and err.count("\n") == 1
 
-    def test_unprintable_exact_report_is_a_data_error(self, capsys):
-        # Five coefficients 1/q with coprime 901-digit q give the exact
-        # integral a denominator of about 4,500 digits, past the 4,300 that
-        # Python converts to str; `--n 12` with 2,500 ones reaches the same
-        # limit through the error series, after seconds of exact work.
-        spec = "poly:" + ",".join(f"1/{10 ** 900 + 2 * i + 1}" for i in range(5))
+    @pytest.mark.parametrize("limit, q_digits", [(4300, 901), (640, 151)])
+    def test_unprintable_exact_report_is_a_data_error(self, capsys, int_digit_limit,
+                                                       limit, q_digits):
+        # Five coefficients 1/q with coprime q of q_digits digits give the
+        # exact report a number past the interpreter's int-to-str limit;
+        # `--n 12` with 2,500 ones reaches 4300 digits through the error
+        # series, after seconds of exact work.
+        int_digit_limit(limit)
+        spec = "poly:" + ",".join(f"1/{10 ** (q_digits - 1) + 2 * i + 1}" for i in range(5))
         code, out, err = run_cli(capsys, "integrate", "--n", "3", "--fn", spec)
         assert (code, out) == (3, "")
-        assert err.startswith("error: an exact value may have more than 4300 digits")
+        assert err.startswith(f"error: an exact value may have more than {limit} digits")
         assert err.count("\n") == 1
+        # Without a limit the same report prints.
+        int_digit_limit(0)
+        code, out, err = run_cli(capsys, "integrate", "--n", "3", "--fn", spec)
+        assert (code, err) == (0, "") and "exact" in out
 
-    def test_exact_values_print_up_to_the_digit_limit(self):
-        assert _rat_str(Fraction(10 ** 4299, 7)) == f"{10 ** 4299}/7"
-        for x in (Fraction(10 ** 4300), Fraction(1, 10 ** 4300)):
-            with pytest.raises(CliError, match="4300 digits"):
+    @pytest.mark.parametrize("limit", [4300, 640])
+    def test_exact_values_print_up_to_the_digit_limit(self, int_digit_limit, limit):
+        int_digit_limit(limit)
+        top = 10 ** (limit - 1)
+        assert _rat_str(Fraction(top, 7)) == f"{top}/7"
+        for x in (Fraction(10 * top), Fraction(1, 10 * top)):
+            with pytest.raises(CliError, match=f"{limit} digits"):
                 _rat_str(x)
 
     def test_wide_but_representable_interval_runs(self, capsys):
