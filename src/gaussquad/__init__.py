@@ -51,7 +51,7 @@ from .numerics import (
     to_hp,
 )
 from .ratpoly import RatPoly, mod_inverse_eval, poly_ext_gcd
-from .rootfind import RootIsolationError, RootSet, real_roots_symmetric
+from .rootfind import RootIsolationError
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -62,7 +62,6 @@ __all__ = [
     "RatPoly",
     "Rational",
     "RootIsolationError",
-    "RootSet",
     "SeriesTail",
     "T01",
     "U11",
@@ -89,7 +88,6 @@ __all__ = [
     "poly_ext_gcd",
     "product_split",
     "rational_function_tail",
-    "real_roots_symmetric",
     "to_convention",
     "to_hp",
     "weight_polynomial",

@@ -15,10 +15,11 @@ scheme on the expanded coefficients of W, which cancel near u = +-1, the
 recurrence keeps its relative accuracy across (-1, 1) at every order.
 The roots are bracketed by Bruns' separators cos^2(k pi/(m + 1/2)) in
 q = u^2, which root isolation certifies by exact sign changes before using
-them, and Newton starts from Tricomi's asymptotic guesses; floats propose
-both, so a poor float costs iterations but never digits.  The residual
-check's W' at each node serves its weight, leaving one V recurrence per
-weight.
+them, raising RootIsolationError if any check fails, and Newton starts
+from Tricomi's asymptotic guesses; floats propose both, so a poor start
+costs iterations but never digits, and a poor separator cannot yield a
+root.  The residual check's W' at each node serves its weight, leaving
+one V recurrence per weight.
 
 The small linear-system construction (choose the node polynomial so that
 the first coefficients of the split tail vanish) is also provided; it is

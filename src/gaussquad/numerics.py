@@ -123,18 +123,21 @@ def _ln(x: Decimal) -> Decimal:
 
 
 def hp_ln(x, prec: int | None = None) -> Decimal:
-    """Natural logarithm of ``x > 0`` at the given significant-digit precision."""
+    """Natural logarithm of a finite ``x > 0`` at the given significant-digit precision.
+
+    A NaN, an infinity or ``x <= 0`` raises ValueError.
+    """
     prec = resolve_precision(prec)
     with localcontext(working_context(prec)):
         xd = _as_decimal(x)
-        if xd <= 0:
-            raise ValueError(f"hp_ln requires x > 0, got {x}")
+        if not xd.is_finite() or xd <= 0:
+            raise ValueError(f"hp_ln requires a finite x > 0, got {x}")
         out = _ln(xd)
     return round_to(out, prec)
 
 
 def hp_log10_scaled(w, prec: int | None = None) -> Decimal:
-    """Return log10(1e9 * w) for ``w > 0``, i.e. ``9 + ln(w)/ln(10)``.
+    """Return log10(1e9 * w) for a finite ``w > 0``, i.e. ``9 + ln(w)/ln(10)``.
 
     The 1e9 scaling keeps the logarithms of small weights positive, which is
     how the classical tables render them.
@@ -142,8 +145,8 @@ def hp_log10_scaled(w, prec: int | None = None) -> Decimal:
     prec = resolve_precision(prec)
     with localcontext(working_context(prec)):
         wd = _as_decimal(w)
-        if wd <= 0:
-            raise ValueError(f"hp_log10_scaled requires w > 0, got {w}")
+        if not wd.is_finite() or wd <= 0:
+            raise ValueError(f"hp_log10_scaled requires a finite w > 0, got {w}")
         out = 9 + _ln(wd) / _ln(Decimal(10))
     return round_to(out, prec)
 

@@ -4,18 +4,17 @@ The polynomials handled here have a definite parity, all roots real and
 simple inside (-1, 1), and at most one root at the origin.  Parity is
 exploited: W(u) = u**s * Q(u**2) with s in {0, 1}, and the roots of Q are
 bracketed in (0, 1) by exact sign changes of Q at rational points, so
-isolation can never be fooled by rounding.  A caller who knows where the
-roots lie (for Legendre polynomials, Bruns' separators) passes the points;
-they are certified exactly: Q must be nonzero at each, change sign across
-every consecutive pair, and the pairs must number deg Q, which puts exactly
-one root in each.  Points that fail any check are ignored and the generic
-path, a doubling grid of up to 1,024 panels, isolates instead.  Each
-bracket is polished in decimal arithmetic by safeguarded Newton from a
-caller-supplied start or the midpoint: each evaluation narrows the
-bracket, and a step that would leave it is replaced by one bisection step,
-after which Newton resumes.  The caller may supply the evaluation of
-(W, W'); the default is Horner's scheme on the monomial coefficients.
-Negative roots come from mirroring, and a root at the origin is exact.
+isolation can never be fooled by rounding.  The caller, who knows where the
+roots lie (for Legendre polynomials, Bruns' separators), passes the points,
+and they are certified exactly: Q must be nonzero at each, change sign
+across every consecutive pair, and the pairs must number deg Q, which puts
+exactly one root in each.  Points that fail any check raise; no root ever
+comes from an uncertified bracket.  Each bracket is polished in decimal
+arithmetic by safeguarded Newton from a caller-supplied start, with the
+caller's evaluation of (W, W'): each evaluation narrows the bracket, and a
+step that would leave it is replaced by one bisection step, after which
+Newton resumes.  Negative roots come from mirroring, and a root at the
+origin is exact.
 
 Floats may propose points and starts, but never decide a result: exact
 signs certify every bracket and the residual gate below every root.
@@ -35,7 +34,6 @@ from typing import Callable, Sequence
 from .numerics import MAX_PRECISION, _as_decimal, resolve_precision, round_to, working_context
 from .ratpoly import RatPoly
 
-_MAX_PANELS = 1024
 # Bisection alone needs log2(10) < 3.4 steps per digit.
 _MAX_STEPS = 4 * MAX_PRECISION
 
@@ -91,58 +89,17 @@ def _separator_brackets(q: RatPoly, separators: Sequence[Fraction]
     return list(zip(points, points[1:], signs))
 
 
-def _isolate_unit_interval(q: RatPoly) -> list[tuple[Fraction, Fraction, int]]:
-    # Exact sign-change brackets (lo, hi, sign of q at lo) for all roots of
-    # q in (0, 1); a rational root on the grid comes as (r, r, 0).
-    want = q.degree
-    if want == 0:
-        return []
-    panels = 16
-    grid = [Fraction(j, panels) for j in range(panels + 1)]
-    vals = [q.eval(x) for x in grid]
-    while True:
-        brackets: list[tuple[Fraction, Fraction, int]] = []
-        for j in range(panels):
-            if vals[j] == 0:
-                # A rational root sitting exactly on the grid.
-                brackets.append((grid[j], grid[j], 0))
-            elif (vals[j] > 0) != (vals[j + 1] > 0) and vals[j + 1] != 0:
-                brackets.append((grid[j], grid[j + 1], 1 if vals[j] > 0 else -1))
-        if vals[-1] == 0:
-            brackets.append((grid[-1], grid[-1], 0))
-        seen = len(brackets)
-        if seen == want:
-            return brackets
-        # More crossings than roots would mean a non-real-rooted input.
-        if seen > want or panels == _MAX_PANELS:
-            break
-        # Double the panels: the old grid points are the even ones of the
-        # new grid, so only the odd ones need evaluating.
-        panels *= 2
-        odd = [Fraction(j, panels) for j in range(1, panels, 2)]
-        grid = [x for pair in zip(grid, odd) for x in pair] + [grid[-1]]
-        vals = [v for pair in zip(vals, [q.eval(x) for x in odd]) for v in pair] + [vals[-1]]
-    raise RootIsolationError(
-        f"root isolation failed: expected {want} sign changes in (0, 1), "
-        f"found {seen} with up to {panels} panels"
-    )
-
-
 def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal, sign_lo: int,
-            tol: Decimal, start: Decimal | None = None) -> Decimal:
+            tol: Decimal, start: Decimal) -> Decimal:
     # Safeguarded Newton on [lo, hi], whose ends bracket one sign change of
     # W, with sign_lo the sign at lo.  Every evaluation shrinks the bracket
     # to the side that keeps the root; a Newton step that would leave it is
     # replaced by one bisection step, and Newton resumes from there.  The
     # iterate stays strictly inside the bracket, so an evaluator is never
-    # asked for a value at a bracket end such as u = 1: a start is clipped
-    # to the inner 7/8 of the bracket, and without one Newton starts at the
-    # midpoint.
-    if start is None:
-        x = (lo + hi) / 2
-    else:
-        margin = (hi - lo) / 16
-        x = min(max(start, lo + margin), hi - margin)
+    # asked for a value at a bracket end such as u = 1: the start is clipped
+    # to the inner 7/8 of the bracket.
+    margin = (hi - lo) / 16
+    x = min(max(start, lo + margin), hi - margin)
     for _ in range(_MAX_STEPS):
         fx, dfx = evaluate(x)
         if fx == 0:
@@ -165,27 +122,25 @@ def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal, sign_lo: int,
     raise RootIsolationError("safeguarded Newton did not converge", bracket=(lo, hi))
 
 
-def real_roots_symmetric(poly: RatPoly, prec: int | None = None,
-                         evaluate: Evaluator | None = None, *,
-                         separators: Sequence[Fraction] | None = None,
-                         starts: Sequence[Decimal] | None = None) -> RootSet:
+def real_roots_symmetric(poly: RatPoly, prec: int | None, evaluate: Evaluator, *,
+                         separators: Sequence[Fraction],
+                         starts: Sequence[Decimal]) -> RootSet:
     """All real roots of a definite-parity polynomial with roots in (-1, 1).
 
     The returned roots are strictly increasing, symmetric about the origin,
     and each satisfies |poly(r)/poly'(r)| <= 10**-(prec-5), measured at the
     rounded root; a root that misses this bound raises RootIsolationError.
     ``evaluate(x)`` returns (poly(x), poly'(x)) under the ambient decimal
-    context; by default it is Horner's scheme on the monomial coefficients,
-    which loses digits to cancellation at large degree, where a caller with
-    a better-conditioned evaluation of the same polynomial should pass it.
+    context; it must keep its relative accuracy near the roots, which
+    Horner's scheme on the monomial coefficients does not at large degree.
     The result's ``derivatives`` are the evaluator's poly' at each returned
     root, mirrored by parity for the negative ones.
 
     ``separators``, rationals rising in [0, 1] in q = u**2, one more than
     there are positive roots, bracket one root between each consecutive
-    pair; they are used only once exact signs certify them (see the module
-    docstring), else the grid isolates.  ``starts``, one per positive root
-    in increasing order, start Newton in place of the bracket midpoints.
+    pair once exact signs certify them (see the module docstring); points
+    that fail certification raise RootIsolationError.  ``starts``, one per
+    positive root in increasing order, start Newton in their brackets.
     Identical input and precision give bit-identical output.
     """
     prec = resolve_precision(prec)
@@ -194,28 +149,22 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None = None,
     if poly.leading != 1:
         raise ValueError("polynomial must be monic")
     s, q = _parity_split(poly)
-    if starts is not None and len(starts) != q.degree:
+    if len(starts) != q.degree:
         raise ValueError(f"need {q.degree} starts, one per positive root, got {len(starts)}")
-    brackets = None if separators is None else _separator_brackets(q, separators)
+    brackets = _separator_brackets(q, separators)
     if brackets is None:
-        brackets = _isolate_unit_interval(q)
-    if evaluate is None:
-        deriv = poly.derivative()
-
-        def evaluate(x):
-            return poly.eval_hp(x), deriv.eval_hp(x)
-
+        raise RootIsolationError(
+            f"separators do not certify {q.degree} roots of Q in (0, 1), "
+            f"where poly(u) = u**{s} Q(u**2), by exact sign changes"
+        )
     tol = Decimal(1).scaleb(-(prec - 5))
     positives: list[tuple[Decimal, Decimal]] = []
     residual = Decimal(0)
     with localcontext(working_context(prec)):
-        for i, (qlo, qhi, sign_lo) in enumerate(brackets):
-            if qlo == qhi:
-                root = _as_decimal(qlo).sqrt()
-            else:
-                # Sign of W on (0,1) matches the sign of Q at the q-bracket ends.
-                root = _polish(evaluate, _as_decimal(qlo).sqrt(), _as_decimal(qhi).sqrt(),
-                               sign_lo, tol, None if starts is None else starts[i])
+        for (qlo, qhi, sign_lo), start in zip(brackets, starts):
+            # Sign of W on (0,1) matches the sign of Q at the q-bracket ends.
+            root = _polish(evaluate, _as_decimal(qlo).sqrt(), _as_decimal(qhi).sqrt(),
+                           sign_lo, tol, start)
             root = round_to(root, prec)
             fx, dfx = evaluate(root)
             if dfx == 0:

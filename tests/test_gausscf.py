@@ -254,9 +254,9 @@ class TestLargeOrders:
 
     @pytest.mark.parametrize("n", [151, 175, 199, 299])
     def test_orders_past_the_isolation_grid(self, n):
-        # The 1,024-panel grid cannot separate the outermost roots here;
-        # Bruns' separators can.  Oracle nodes at ten more digits serve both
-        # the node and the weight check.
+        # A uniform 1,024-panel grid in q cannot separate the outermost
+        # roots here; Bruns' separators can.  Oracle nodes at ten more
+        # digits serve both the node and the weight check.
         prec = 50
         rule = gauss_rule(n, prec)
         with localcontext(Context(prec=prec + 20)):
@@ -295,6 +295,37 @@ class TestLargeOrders:
         monkeypatch.setattr(gausscf, "_denominator_and_derivative", skewed)
         with pytest.raises(ArithmeticError, match="unit mass"):
             gauss_rule(20, 50)
+
+
+def _misrounded(nodes, poly: RatPoly, prec: int) -> list[Decimal]:
+    # Positive nodes b whose half-ulp neighbours at prec digits do not
+    # bracket a sign change of the exact poly: the root nearest such a b
+    # does not round to b.
+    ctx = Context(prec=prec)
+    bad = []
+    for b in nodes:
+        if b > 0:
+            lo = (F(b) + F(ctx.next_minus(b))) / 2
+            hi = (F(b) + F(ctx.next_plus(b))) / 2
+            if poly.eval(lo) * poly.eval(hi) >= 0:
+                bad.append(b)
+    return bad
+
+
+class TestCorrectRounding:
+    """Every node is its root correctly rounded, certified by exact signs of
+    the rational node polynomial at the half-ulp neighbours."""
+
+    @pytest.mark.parametrize("n, prec", [(4, 50), (28, 50), (100, 50), (12, 1000)])
+    def test_nodes_are_correctly_rounded(self, n, prec):
+        rule = gauss_rule(n, prec)
+        assert _misrounded(rule.nodes, rule.nodepoly, prec) == []
+
+    def test_node_one_ulp_off_is_caught(self):
+        rule = gauss_rule(28, 50)
+        nodes = list(rule.nodes)
+        nodes[20] = Context(prec=50).next_plus(nodes[20])
+        assert _misrounded(nodes, rule.nodepoly, 50) == [nodes[20]]
 
 
 class TestWeightPolynomial:

@@ -40,6 +40,14 @@ class TestHpLn:
         with pytest.raises(ValueError):
             hp_ln(-3)
 
+    @pytest.mark.parametrize("x", [Decimal("Infinity"), "Infinity", Decimal("-Infinity"),
+                                   Decimal("NaN"), "NaN"])
+    def test_non_finite_input_raises(self, x):
+        # Halving an infinity never brings it below 2, so without the check
+        # the argument reduction would never return.
+        with pytest.raises(ValueError, match="finite"):
+            hp_ln(x)
+
     def test_fraction_input(self):
         # ln(1/2) = -ln 2
         assert abs(hp_ln(Fraction(1, 2)) + LN_2) < Decimal("1e-44")
@@ -73,6 +81,11 @@ class TestLog10Scaled:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             hp_log10_scaled(0)
+
+    @pytest.mark.parametrize("w", [Decimal("Infinity"), "Infinity", Decimal("NaN")])
+    def test_non_finite_input_raises(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            hp_log10_scaled(w)
 
 
 class TestConversion:

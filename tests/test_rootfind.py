@@ -1,11 +1,10 @@
-"""Root extraction: parity reduction, exact isolation, Newton polishing."""
+"""Root extraction: parity reduction, certified isolation, Newton polishing."""
 
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from gaussquad import rootfind
 from gaussquad.gausscf import (
     _bruns_separators,
     _denominator_and_derivative,
@@ -26,9 +25,42 @@ from oracles import legendre_nodes, newton_sqrt
 F = Fraction
 
 
+def _horner(poly: RatPoly):
+    # Horner's scheme on the monomial coefficients: exact enough for toy
+    # polynomials and small Legendre degrees, cancelling near +-1 at large ones.
+    deriv = poly.derivative()
+    return lambda x: (poly.eval_hp(x), deriv.eval_hp(x))
+
+
+def _toy_roots(poly: RatPoly, separators, starts):
+    # Roots of a toy polynomial from hand-made separators and starts.
+    return real_roots_symmetric(poly, 50, _horner(poly), separators=separators,
+                                starts=[Decimal(x) for x in starts])
+
+
+def _recurrence_evaluator(m: int, prec: int = 50):
+    # The recurrence evaluation gauss_rule uses, which keeps every digit at
+    # m = 40, where Horner on the monomial coefficients would not.
+    with localcontext(working_context(prec)):
+        v = [_as_decimal(cf_coefficient(k)) for k in range(1, m)]
+    return lambda x: _denominator_and_derivative(x, v)
+
+
+def _legendre_roots(m: int, prec: int = 50, *, evaluate=None, separators=None, starts=None):
+    # Roots of the monic Legendre W of degree m as gauss_rule finds them:
+    # Bruns' separators, Tricomi's starts and the recurrence evaluator,
+    # unless a test replaces one of them.
+    return real_roots_symmetric(
+        legendre_pair(m).denominator, prec,
+        _recurrence_evaluator(m, prec) if evaluate is None else evaluate,
+        separators=_bruns_separators(m) if separators is None else separators,
+        starts=_tricomi_starts(m) if starts is None else starts,
+    )
+
+
 class TestSmallCases:
     def test_two_point(self):
-        got = real_roots_symmetric(RatPoly((F(-1, 3), 0, 1)), 50)
+        got = _toy_roots(RatPoly((F(-1, 3), 0, 1)), [F(0), F(1, 2)], ["0.5"])
         want = newton_sqrt(F(1, 3), 50)
         assert len(got.roots) == 2
         assert abs(got.roots[1] - want) < Decimal("1e-45")
@@ -36,22 +68,15 @@ class TestSmallCases:
         assert format_sig(got.roots[1], 16) == "0.5773502691896258"
 
     def test_odd_case_has_exact_origin(self):
-        got = real_roots_symmetric(RatPoly((0, F(-3, 5), 0, 1)), 50)
+        got = _toy_roots(RatPoly((0, F(-3, 5), 0, 1)), [F(1, 2), F(1)], ["0.77"])
         assert got.roots[1] == 0
         want = newton_sqrt(F(3, 5), 50)
         assert abs(got.roots[2] - want) < Decimal("1e-45")
 
-    def test_rational_root_on_grid(self):
-        # q = 1/4 sits exactly on the isolation grid; the dyadic shortcut
-        # must still deliver both mirrored roots.
-        got = real_roots_symmetric(RatPoly((F(-1, 4), 0, 1)), 50)
-        assert got.roots == (Decimal("-0.5"), Decimal("0.5"))
-
 
 class TestLegendreFamily:
     def test_seven_point_against_oracle(self):
-        w = legendre_pair(7).denominator
-        got = real_roots_symmetric(w, 50).roots
+        got = _legendre_roots(7).roots
         want = legendre_nodes(7, 50)
         assert len(got) == 7
         for a, b in zip(got, want):
@@ -60,14 +85,14 @@ class TestLegendreFamily:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_interlacing(self, m):
-        inner = real_roots_symmetric(legendre_pair(m).denominator, 50).roots
-        outer = real_roots_symmetric(legendre_pair(m + 1).denominator, 50).roots
+        inner = _legendre_roots(m).roots
+        outer = _legendre_roots(m + 1).roots
         for i, r in enumerate(inner):
             assert outer[i] < r < outer[i + 1]
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_residual_bound(self, m):
-        got = real_roots_symmetric(legendre_pair(m).denominator, 50)
+        got = _legendre_roots(m)
         assert got.residual_bound <= Decimal("1e-45")
         assert len(got.roots) == m
         for a, b in zip(got.roots, got.roots[1:]):
@@ -75,28 +100,26 @@ class TestLegendreFamily:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_symmetry(self, m):
-        roots = real_roots_symmetric(legendre_pair(m).denominator, 50).roots
+        roots = _legendre_roots(m).roots
         for i in range(m):
             assert abs(roots[i] + roots[m - 1 - i]) < Decimal("1e-42")
 
     def test_determinism(self):
-        w = legendre_pair(6).denominator
-        a = real_roots_symmetric(w, 50)
-        b = real_roots_symmetric(w, 50)
+        a = _legendre_roots(6)
+        b = _legendre_roots(6)
         assert a.roots == b.roots
         assert a.residual_bound == b.residual_bound
 
     def test_precision_scales(self):
-        w = legendre_pair(5).denominator
-        lo = real_roots_symmetric(w, 40).roots
-        hi = real_roots_symmetric(w, 70).roots
+        lo = _legendre_roots(5, 40).roots
+        hi = _legendre_roots(5, 70).roots
         for a, b in zip(lo, hi):
             assert abs(a - b) < Decimal("1e-38")
 
 
 class TestPolish:
     def test_step_leaving_the_bracket_costs_one_bisection(self):
-        # x^3 - 2x + 2 on [-2, 1/2]: from the midpoint -3/4, Newton jumps to
+        # x^3 - 2x + 2 on [-2, 1/2]: from the start -3/4, Newton jumps to
         # about 9.1.  One bisection step replaces it and Newton resumes, where
         # bisecting the whole bracket down to 1e-45 would take 150 steps.
         calls = []
@@ -106,23 +129,26 @@ class TestPolish:
             return x ** 3 - 2 * x + 2, 3 * x * x - 2
 
         with localcontext(Context(prec=60)):
-            root = _polish(evaluate, Decimal(-2), Decimal("0.5"), -1, Decimal("1e-45"))
+            root = _polish(evaluate, Decimal(-2), Decimal("0.5"), -1, Decimal("1e-45"),
+                           Decimal("-0.75"))
             assert abs(root ** 3 - 2 * root + 2) < Decimal("1e-44")
         assert calls[1] == (Decimal(-2) + Decimal("-0.75")) / 2
         assert len(calls) <= 12
 
     def test_custom_evaluator_is_used(self):
         w = legendre_pair(6).denominator
-        d = w.derivative()
+        horner = _horner(w)
         seen = []
 
-        def horner(x):
+        def evaluate(x):
             seen.append(x)
-            return w.eval_hp(x), d.eval_hp(x)
+            return horner(x)
 
-        got = real_roots_symmetric(w, 50, horner)
+        got = _legendre_roots(6, evaluate=evaluate).roots
         assert seen
-        assert got == real_roots_symmetric(w, 50)
+        for a, b in zip(got, legendre_nodes(6, 50), strict=True):
+            assert abs(a - b) < Decimal("1e-45")
+            assert format_sig(a, 16) == format_sig(b, 16)
 
 
 class TestPolishStarts:
@@ -142,27 +168,13 @@ class TestPolishStarts:
 
     @pytest.mark.parametrize("bad", ["0", "0.99999", "-3"])
     def test_bad_starts_cost_time_not_digits(self, bad):
-        w = legendre_pair(30).denominator
-        got = real_roots_symmetric(w, 50, starts=[Decimal(bad)] * 15)
+        got = _legendre_roots(30, starts=[Decimal(bad)] * 15)
         for a, b in zip(got.roots, legendre_nodes(30, 50), strict=True):
             assert abs(a - b) <= Decimal("1e-48")
 
     def test_one_start_per_positive_root(self):
         with pytest.raises(ValueError, match="starts"):
-            real_roots_symmetric(legendre_pair(7).denominator, 50, starts=[Decimal("0.5")])
-
-
-def _grid_spy(monkeypatch) -> list[int]:
-    # Counts calls of the grid isolation, which must run only as a fallback.
-    calls: list[int] = []
-    grid = rootfind._isolate_unit_interval
-
-    def spy(q):
-        calls.append(q.degree)
-        return grid(q)
-
-    monkeypatch.setattr(rootfind, "_isolate_unit_interval", spy)
-    return calls
+            _legendre_roots(7, starts=[Decimal("0.5")])
 
 
 def _moved_across_a_root(m: int, j: int) -> list[Fraction]:
@@ -178,53 +190,42 @@ def _moved_across_a_root(m: int, j: int) -> list[Fraction]:
     return seps
 
 
-def _recurrence_evaluator(m: int):
-    # The recurrence evaluation gauss_rule uses, which keeps every digit at
-    # m = 40, where Horner on the monomial coefficients would not.
-    with localcontext(working_context(50)):
-        v = [_as_decimal(cf_coefficient(k)) for k in range(1, m)]
-    return lambda x: _denominator_and_derivative(x, v)
+# Points that do not certify the one root 1/4 of q - 1/4 in (0, 1).
+UNCERTIFIED = [
+    [F(1, 2), F(1)],          # q - 1/4 is negative at both
+    [F(1, 4), F(1)],          # a root sits on a separator
+    [F(0), F(1, 2), F(1)],    # one pair too many
+    [F(1), F(0)],             # not rising
+    [F(-1), F(1)],            # outside [0, 1]
+    [F(0), F(2)],
+]
 
 
 class TestSeparators:
-    def test_certified_separators_replace_the_grid(self, monkeypatch):
-        w = legendre_pair(40).denominator
-        evaluate = _recurrence_evaluator(40)
-        plain = real_roots_symmetric(w, 50, evaluate)
-        calls = _grid_spy(monkeypatch)
-        got = real_roots_symmetric(w, 50, evaluate, separators=_bruns_separators(40),
-                                   starts=_tricomi_starts(40))
-        assert calls == []
-        assert got == plain
+    def test_certified_separators_match_the_oracle(self):
+        got = _legendre_roots(40).roots
+        for a, b in zip(got, legendre_nodes(40, 50), strict=True):
+            assert abs(a - b) <= Decimal("1e-48")
 
     @pytest.mark.parametrize("j", [0, 7, 20])
-    def test_point_moved_across_a_root_falls_back_to_the_grid(self, monkeypatch, j):
-        w = legendre_pair(40).denominator
-        evaluate = _recurrence_evaluator(40)
-        plain = real_roots_symmetric(w, 50, evaluate)
-        calls = _grid_spy(monkeypatch)
-        got = real_roots_symmetric(w, 50, evaluate, separators=_moved_across_a_root(40, j))
-        assert calls == [20]
-        assert got == plain
+    def test_point_moved_across_a_root_raises(self, j):
+        with pytest.raises(RootIsolationError, match="separators do not certify"):
+            _legendre_roots(40, separators=_moved_across_a_root(40, j))
 
     def test_point_moved_across_a_root_never_returns_roots(self):
-        # At 152 points the fallback grid cannot separate the outer roots, so
-        # the uncertified separators must end in an error, not in roots.
-        w = legendre_pair(152).denominator
-        with pytest.raises(RootIsolationError, match="isolation failed"):
-            real_roots_symmetric(w, 50, _recurrence_evaluator(152),
-                                 separators=_moved_across_a_root(152, 3))
+        # Past order 150 as well, uncertified separators end in an error,
+        # not in roots.
+        with pytest.raises(RootIsolationError, match="separators do not certify"):
+            _legendre_roots(152, separators=_moved_across_a_root(152, 3))
 
-    @pytest.mark.parametrize("points", [
-        [F(1, 2), F(1)],          # q - 1/4 is negative at both
-        [F(1, 4), F(1)],          # a root sits on a separator
-        [F(0), F(1, 2), F(1)],    # one pair too many
-        [F(1), F(0)],             # not rising
-        [F(-1), F(1)],            # outside [0, 1]
-        [F(0), F(2)],
-    ])
+    @pytest.mark.parametrize("points", UNCERTIFIED)
     def test_uncertified_points_are_refused(self, points):
         assert _separator_brackets(RatPoly((F(-1, 4), 1)), points) is None
+
+    @pytest.mark.parametrize("points", UNCERTIFIED)
+    def test_uncertified_points_raise(self, points):
+        with pytest.raises(RootIsolationError, match="separators do not certify"):
+            _toy_roots(RatPoly((F(-1, 4), 0, 1)), points, ["0.5"])
 
     def test_certified_points_give_signed_brackets(self):
         q = RatPoly((F(3, 16), F(-1), 1))  # roots 1/4 and 3/4
@@ -235,35 +236,34 @@ class TestSeparators:
 class TestDerivatives:
     @pytest.mark.parametrize("m", [6, 7])
     def test_derivative_at_every_root(self, m):
-        w = legendre_pair(m).denominator
-        d = w.derivative()
-        got = real_roots_symmetric(w, 50)
+        evaluate = _recurrence_evaluator(m)
+        got = _legendre_roots(m, evaluate=evaluate)
         assert len(got.derivatives) == m
         with localcontext(working_context(50)):
             for root, dw in zip(got.roots, got.derivatives):
-                assert dw == d.eval_hp(root)
+                assert dw == evaluate(root)[1]
 
 
 class TestRejection:
     def test_mixed_parity(self):
         with pytest.raises(ValueError, match="parity"):
-            real_roots_symmetric(RatPoly((F(-1, 3), 1, 1)), 50)
+            _toy_roots(RatPoly((F(-1, 3), 1, 1)), [F(0), F(1)], ["0.5"])
 
     def test_not_monic(self):
         with pytest.raises(ValueError, match="monic"):
-            real_roots_symmetric(RatPoly((F(-1, 3), 0, 2)), 50)
+            _toy_roots(RatPoly((F(-1, 3), 0, 2)), [F(0), F(1)], ["0.5"])
 
     def test_constant(self):
         with pytest.raises(ValueError):
-            real_roots_symmetric(RatPoly.one(), 50)
+            _toy_roots(RatPoly.one(), [F(1)], [])
 
     def test_no_real_roots_detected(self):
         with pytest.raises(RootIsolationError):
-            real_roots_symmetric(RatPoly((1, 0, 1)), 50)  # u^2 + 1
+            _toy_roots(RatPoly((1, 0, 1)), [F(0), F(1)], ["0.5"])  # u^2 + 1
 
     def test_roots_outside_interval_detected(self):
         with pytest.raises(RootIsolationError):
-            real_roots_symmetric(RatPoly((-4, 0, 1)), 50)  # roots at +-2
+            _toy_roots(RatPoly((-4, 0, 1)), [F(0), F(1)], ["0.5"])  # roots at +-2
 
     @pytest.mark.parametrize("m", [57, 81])
     def test_lost_digits_raise(self, m):
@@ -271,8 +271,10 @@ class TestRejection:
         # the residual at the rounded roots then exceeds 1e-45 and must not
         # be returned as if certified.
         with pytest.raises(RootIsolationError, match="residual"):
-            real_roots_symmetric(legendre_pair(m).denominator, 50)
+            _legendre_roots(m, evaluate=_horner(legendre_pair(m).denominator))
 
     def test_boundary_roots_detected(self):
+        # Roots at +-sqrt(1 - 1e-60), which round to +-1 at 50 digits.
+        poly = RatPoly((-(1 - F(1, 10**60)), 0, 1))
         with pytest.raises(RootIsolationError, match="open interval"):
-            real_roots_symmetric(RatPoly((-1, 0, 1)), 50)  # roots at +-1
+            _toy_roots(poly, [F(0), F(1)], ["0.5"])
