@@ -29,10 +29,10 @@ the brute-force cross-check for the continued-fraction route.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 
 from .interprule import T01, U11, QuadRule, _moments, to_convention
 from .numerics import _as_decimal, resolve_precision, round_to, working_context
@@ -56,25 +56,45 @@ def cf_coefficient(m: int) -> Fraction:
     return Fraction(-m * m, (2 * m - 1) * (2 * m + 1))
 
 
-@lru_cache(maxsize=None)
+def _step(x0: RatPoly, x1: RatPoly, k: int) -> RatPoly:
+    # X(k+1) = u*X(k) + v(k)*X(k-1) on integer numerators over one common
+    # denominator, brought to primitive form by one gcd.
+    v = cf_coefficient(k)
+    b, db = x0.numerators
+    a, da = x1.numerators
+    rb = v.denominator * db
+    den = math.lcm(da, rb)
+    fa, fb = den // da, v.numerator * (den // rb)
+    out = [0] + [x * fa for x in a]
+    for i, y in enumerate(b):
+        out[i] += y * fb
+    return RatPoly.from_numerators(out, den)
+
+
+# Convergents of orders 0, 1, ... built so far; _chain[m] has order m.  The
+# lock keeps two threads from extending the chain at once, which would store
+# pairs at the wrong index; reads need no lock, as the list only grows.
+_chain = [LegendrePair(0, RatPoly.zero(), RatPoly.one()),
+          LegendrePair(1, RatPoly.one(), RatPoly.identity())]
+_chain_lock = threading.Lock()
+
+
 def legendre_pair(m: int) -> LegendrePair:
     """Numerator/denominator pair (V, W) of the order-m convergent.
 
     V(0) = 0, W(0) = 1, V(1) = 1, W(1) = u, then
-    X(k+1) = u * X(k) + v(k) * X(k-1) for both sequences.
+    X(k+1) = u * X(k) + v(k) * X(k-1) for both sequences.  Every order is
+    built once, from the two before it, and kept.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    u = RatPoly.identity()
-    v0, w0 = RatPoly.zero(), RatPoly.one()
-    if m == 0:
-        return LegendrePair(0, v0, w0)
-    v1, w1 = RatPoly.one(), u
-    for k in range(1, m):
-        vk = cf_coefficient(k)
-        v0, v1 = v1, u * v1 + v0.scale(vk)
-        w0, w1 = w1, u * w1 + w0.scale(vk)
-    return LegendrePair(m, v1, w1)
+    if m >= len(_chain):
+        with _chain_lock:
+            for k in range(len(_chain) - 1, m):
+                x0, x1 = _chain[k - 1], _chain[k]
+                _chain.append(LegendrePair(k + 1, _step(x0.numerator, x1.numerator, k),
+                                           _step(x0.denominator, x1.denominator, k)))
+    return _chain[m]
 
 
 def _recurrence(x: Decimal, v: list[Decimal], x0: Decimal, x1: Decimal) -> tuple[Decimal, Decimal]:
@@ -181,17 +201,36 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     return to_convention(rule, convention, prec)
 
 
+def _in_q(p: RatPoly, parity: int) -> RatPoly:
+    # P with p(u) = u**parity * P(u**2), for p whose coefficients of the
+    # other parity vanish.
+    num, den = p.numerators
+    return RatPoly.from_numerators(num[parity::2], den)
+
+
 def weight_polynomial(n: int) -> RatPoly:
     """Exact polynomial of degree <= n whose value at each node is its weight.
 
     Solves the modular-inverse problem with Z the convergent numerator,
     zeta the derivative of the node polynomial, and the node polynomial
     itself as modulus, so the result agrees with Z/zeta at every node.
+    Z/zeta is even, so the inversion runs in q = u**2 on polynomials of
+    half the degree: with W(u) = u**s Q(u**2), Z and zeta both carry the
+    factor u**(1-s), which cancels, and the modulus q**s Q(q) has the
+    squared nodes for roots.  Its result R gives R(u**2), the unique
+    polynomial of degree below n+1 that takes the weights at the nodes.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     pair = legendre_pair(n + 1)
-    return mod_inverse_eval(pair.numerator, pair.denominator.derivative(), pair.denominator)
+    s = (n + 1) % 2
+    w, den = pair.denominator.numerators
+    modulus = RatPoly.from_numerators([0] * s + list(w[s::2]), den)
+    r, den = mod_inverse_eval(_in_q(pair.numerator, 1 - s),
+                              _in_q(pair.denominator.derivative(), 1 - s), modulus).numerators
+    spread = [0] * (2 * len(r) - 1)
+    spread[::2] = r
+    return RatPoly.from_numerators(spread, den)
 
 
 def leading_error_constant(n: int) -> tuple[Fraction, Fraction]:

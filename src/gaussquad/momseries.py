@@ -178,9 +178,10 @@ def cauchy_expansion_of_rule(rule, count: int) -> SeriesTail:
     kind = Fraction
     if nodes is None or weights is None:
         nodes, weights, kind = rule.nodes, rule.weights, Decimal
-    powers = [kind(1)] * len(nodes)
+    # terms[j] = R_j * a_j**m, one multiplication per node and power.
+    terms = list(weights)
     out = []
     for _ in range(count):
-        out.append(sum(map(lambda w, p: w * p, weights, powers), kind(0)))
-        powers = [p * a for p, a in zip(powers, nodes)]
+        out.append(sum(terms, kind(0)))
+        terms = [t * a for t, a in zip(terms, nodes)]
     return SeriesTail(tuple(out))

@@ -18,7 +18,7 @@ anything above 1000, the largest precision the package is tested at.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 Rational = Fraction
@@ -55,15 +55,24 @@ def round_to(x: Decimal, prec: int) -> Decimal:
 
 
 def _as_decimal(value) -> Decimal:
-    """Convert to Decimal under the ambient context (Fraction via division)."""
+    """Convert to Decimal under the ambient context (Fraction via division).
+
+    A string that is no decimal number, and a signalling NaN, which no
+    arithmetic accepts, raise ValueError.
+    """
+    if isinstance(value, str):
+        try:
+            value = Decimal(value)
+        except InvalidOperation:
+            raise ValueError(f"{value!r} is not a decimal number") from None
     if isinstance(value, Decimal):
+        if value.is_snan():
+            raise ValueError(f"cannot convert the signalling NaN {value}")
         return +value
     if isinstance(value, int):
         return +Decimal(value)
     if isinstance(value, Fraction):
         return Decimal(value.numerator) / Decimal(value.denominator)
-    if isinstance(value, str):
-        return +Decimal(value)
     raise TypeError(f"cannot convert {type(value).__name__} to Decimal")
 
 

@@ -17,8 +17,8 @@ quotient of numerator by denominator, the same value a conversion of the
 Fraction gives, so results do not depend on the cache.
 
 Gauss rules up to n = 100 build node polynomials of degree 101, and their
-weight polynomials take about a hundred extended-Euclid division steps; the
-dense schoolbook algorithms below serve those sizes.
+weight polynomials, inverted in q = u**2, take about fifty extended-Euclid
+division steps; the dense schoolbook algorithms below serve those sizes.
 """
 
 from __future__ import annotations

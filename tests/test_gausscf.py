@@ -1,5 +1,8 @@
 """Continued-fraction convergents, Gaussian rules, error constants."""
 
+import hashlib
+import sys
+import threading
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -20,7 +23,7 @@ from gaussquad.momseries import (
     product_split,
     rational_function_tail,
 )
-from gaussquad.ratpoly import RatPoly
+from gaussquad.ratpoly import RatPoly, mod_inverse_eval
 from oracles import lagrange_weights_hp, legendre_eval, legendre_nodes
 
 F = Fraction
@@ -101,6 +104,74 @@ class TestLegendrePair:
         _, tail = product_split(w, moment_series_u(2 * (n + 1) + 2))
         assert all(tail[q] == 0 for q in range(n + 1))
         assert tail[n + 1] == leading_error_constant(n)[0]
+
+
+def _plain_pairs(top: int) -> list[tuple[RatPoly, RatPoly]]:
+    # (V, W) of orders 0..top by the three-term recurrence in plain RatPoly
+    # arithmetic, independent of the chain under test.
+    u = RatPoly.identity()
+    v0, w0, v1, w1 = RatPoly.zero(), RatPoly.one(), RatPoly.one(), u
+    out = [(v0, w0), (v1, w1)]
+    for k in range(1, top):
+        vk = cf_coefficient(k)
+        v0, v1 = v1, u * v1 + v0.scale(vk)
+        w0, w1 = w1, u * w1 + w0.scale(vk)
+        out.append((v1, w1))
+    return out
+
+
+CHAIN_TOP = 120
+PLAIN_PAIRS = _plain_pairs(CHAIN_TOP)
+
+
+@pytest.fixture
+def fresh_chain(monkeypatch):
+    # A chain holding orders 0 and 1 only, so that the test builds the rest.
+    monkeypatch.setattr(gausscf, "_chain", gausscf._chain[:2])
+
+
+class TestLegendreChain:
+    @pytest.mark.parametrize("orders", [range(CHAIN_TOP, -1, -1), range(CHAIN_TOP + 1),
+                                        [7, 3, 50, 49, 120, 2, 0, 1]])
+    def test_matches_plain_recurrence(self, fresh_chain, orders):
+        for m in orders:
+            pair = legendre_pair(m)
+            assert pair.order == m
+            assert (pair.numerator, pair.denominator) == PLAIN_PAIRS[m]
+
+    def test_each_order_built_once(self, fresh_chain):
+        assert legendre_pair(40) is legendre_pair(40)
+        assert len(gausscf._chain) == 41
+
+    def test_threads_extend_one_chain(self, fresh_chain):
+        # Four threads extend the same fresh chain in different sequences;
+        # a short switch interval makes them interleave inside the extension.
+        sequences = [range(CHAIN_TOP, 0, -1), range(CHAIN_TOP + 1),
+                     range(0, CHAIN_TOP + 1, 7), [97, 3, 41, 17, CHAIN_TOP, 2]]
+        barrier = threading.Barrier(len(sequences), timeout=30)
+        results: list[list] = [[] for _ in sequences]
+
+        def work(i):
+            barrier.wait()
+            results[i] = [(m, legendre_pair(m)) for m in sequences[i]]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(sequences))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seq, got in zip(sequences, results):
+            assert [m for m, _ in got] == list(seq)
+            for m, pair in got:
+                assert pair.order == m
+                assert (pair.numerator, pair.denominator) == PLAIN_PAIRS[m]
+        assert [p.order for p in gausscf._chain] == list(range(CHAIN_TOP + 1))
 
 
 class TestAnnihilatingSolve:
@@ -342,6 +413,30 @@ class TestWeightPolynomial:
         with localcontext(Context(prec=60)):
             for b, w in zip(rule.nodes, rule.weights):
                 assert abs(rho.eval_hp(b) - w) < Decimal("1e-42")
+
+    @pytest.mark.parametrize("n", [*range(61), 150])
+    def test_q_form_equals_u_form_inversion(self, n):
+        # The inversion in q = u**2 gives the very polynomial that the
+        # inversion on V, W' modulo W in u gives.
+        pair = legendre_pair(n + 1)
+        w = pair.denominator
+        assert weight_polynomial(n) == mod_inverse_eval(pair.numerator, w.derivative(), w)
+
+
+# sha256 over repr(gauss_rule(n, 50)) for n in FINGERPRINT_ORDERS, then
+# repr(weight_polynomial(n)) for n = 0..40, as the u-form weight
+# inversion and the per-order lru_cache convergents produced them.
+FINGERPRINT_ORDERS = (0, 1, 4, 28, 52)
+FINGERPRINT = "94245c5c32bee1f38bb99aa97ee8544db4f8b34ab436986c5531d55f4b261922"
+
+
+def test_rules_and_weight_polynomials_fingerprint():
+    h = hashlib.sha256()
+    for n in FINGERPRINT_ORDERS:
+        h.update(repr(gauss_rule(n, 50)).encode())
+    for n in range(41):
+        h.update(repr(weight_polynomial(n)).encode())
+    assert h.hexdigest() == FINGERPRINT
 
 
 class TestLeadingErrorConstant:

@@ -194,6 +194,19 @@ class TestErrorCoefficients:
         with pytest.raises(ArithmeticError, match="mismatch at m=1"):
             error_coefficients(replace(rule, weights=bad), 8)
 
+    @pytest.mark.parametrize("n, prec", [(28, 50), (12, 200)])
+    def test_decimal_cross_check_catches_one_weight_moved(self, n, prec):
+        # One weight moved by 10**-(prec-10), a hundred times the tolerance,
+        # shifts the rule's zeroth moment by as much.
+        from gaussquad.gausscf import gauss_rule
+
+        rule = gauss_rule(n, prec, convention=T01)
+        with localcontext(Context(prec=prec + 20)):
+            w = list(rule.weights)
+            w[n // 3] += Decimal(1).scaleb(-(prec - 10))
+        with pytest.raises(ArithmeticError, match="mismatch at m=0"):
+            error_coefficients(replace(rule, weights=tuple(w)), 2 * n + 4, prec)
+
 
 class TestApplyRule:
     def test_constant_times_width(self):

@@ -117,6 +117,20 @@ class TestConversion:
         assert err <= abs(a) * Fraction(1, 10**49) if a else err == 0
 
 
+    @pytest.mark.parametrize("value", ["sNaN", "-sNaN", Decimal("sNaN")])
+    @pytest.mark.parametrize("fn", [to_hp, hp_ln, hp_log10_scaled])
+    def test_signalling_nan_raises_value_error(self, fn, value):
+        # Any arithmetic on a signalling NaN signals InvalidOperation; the
+        # conversion refuses it first, as it refuses every other bad value.
+        with pytest.raises(ValueError, match="signalling NaN"):
+            fn(value)
+
+    @pytest.mark.parametrize("fn", [to_hp, hp_ln, hp_log10_scaled])
+    def test_malformed_string_raises_value_error(self, fn):
+        with pytest.raises(ValueError, match="not a decimal number"):
+            fn("1.5.2")
+
+
 class TestRendering:
     @pytest.mark.parametrize(
         "value, sig, expected",
