@@ -9,17 +9,20 @@ V doubles as the polynomial part of W times the moment series, so the
 weight at node b is V(b) / W'(b).
 
 The exact polynomials V and W are the rule's exact outputs.  Its decimal
-nodes and weights come from evaluating W, W' and V at decimal points by the
-recurrence itself, with the v(k) rounded once per rule: unlike Horner's
-scheme on the expanded coefficients of W, which cancel near u = +-1, the
+nodes come from evaluating W and W' at decimal points by the recurrence
+itself, with the v(k) rounded once per precision: unlike Horner's scheme
+on the expanded coefficients of W, which cancel near u = +-1, the
 recurrence keeps its relative accuracy across (-1, 1) at every order.
 The roots are bracketed by Bruns' separators cos^2(k pi/(m + 1/2)) in
 q = u^2, which root isolation certifies by exact sign changes before using
-them, raising RootIsolationError if any check fails, and Newton starts
-from Tricomi's asymptotic guesses; floats propose both, so a poor start
-costs iterations but never digits, and a poor separator cannot yield a
-root.  The residual check's W' at each node serves its weight, leaving
-one V recurrence per weight.
+them, raising RootIsolationError if any check fails.  Newton starts from
+Tricomi's asymptotic guesses, refined by Newton in floats on the same
+recurrence, and climbs a ladder of decimal precisions, so that each node
+costs about one Newton step and one gate evaluation at the working
+precision; floats propose separators and starts, so a poor start costs
+iterations but never digits, and a poor separator cannot yield a root.
+Each weight comes from W' at the unrounded final iterate, by the
+Christoffel-Darboux form of V/W', with no V recurrence.
 
 The small linear-system construction (choose the node polynomial so that
 the first coefficients of the split tail vanish) is also provided; it is
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 from .interprule import T01, U11, QuadRule, _moments, to_convention
@@ -97,23 +100,40 @@ def legendre_pair(m: int) -> LegendrePair:
     return _chain[m]
 
 
-def _recurrence(x: Decimal, v: list[Decimal], x0: Decimal, x1: Decimal) -> tuple[Decimal, Decimal]:
-    # X(k+1) = x*X(k) + v(k)*X(k-1) from X(0), X(1) under the ambient
-    # context; returns (X(m-1), X(m)) for m = len(v) + 1.
+def _recurrence(x, v, x0, x1):
+    # X(k+1) = x*X(k) + v(k)*X(k-1) from X(0), X(1), in floats or under the
+    # ambient decimal context; returns (X(m-1), X(m)) for m = len(v) + 1.
     for vk in v:
         x0, x1 = x1, x * x1 + vk * x0
     return x0, x1
 
 
-def _denominator_and_derivative(x: Decimal, v: list[Decimal]) -> tuple[Decimal, Decimal]:
-    # (W(x), W'(x)) for the monic Legendre W of degree m = len(v) + 1.  The
-    # derivative comes from (1-x^2) P_m' = m (P_(m-1) - x P_m) written for
-    # the monic W_m = P_m/a_m, where a_(m-1)/a_m = m/(2m-1); the factor
-    # (1-x)(1+x) keeps its relative accuracy near the ends, where 1-x*x
-    # would cancel.
+def _denominator_and_derivative(x, v):
+    # (W(x), W'(x)) for the monic Legendre W of degree m = len(v) + 1, in
+    # the arithmetic of x and v: floats, or decimals under the ambient
+    # context.  The derivative comes from (1-x^2) P_m' = m (P_(m-1) - x P_m)
+    # written for the monic W_m = P_m/a_m, where a_(m-1)/a_m = m/(2m-1);
+    # the factor (1-x)(1+x) keeps its relative accuracy near the ends,
+    # where 1-x*x would cancel.
     m = len(v) + 1
-    w_prev, w = _recurrence(x, v, Decimal(1), x)
+    w_prev, w = _recurrence(x, v, type(x)(1), x)
     return w, m * (w_prev * m / (2 * m - 1) - x * w) / ((1 - x) * (1 + x))
+
+
+def _decimal_evaluator(m: int):
+    # (W, W') of degree m by the recurrence under the ambient context, with
+    # the v(k) rounded once for each precision that asks: once per rung of
+    # the root finder's ladder.
+    rounded: dict[int, list[Decimal]] = {}
+
+    def evaluate(x: Decimal) -> tuple[Decimal, Decimal]:
+        prec = getcontext().prec
+        v = rounded.get(prec)
+        if v is None:
+            v = rounded[prec] = [_as_decimal(cf_coefficient(k)) for k in range(1, m)]
+        return _denominator_and_derivative(x, v)
+
+    return evaluate
 
 
 def _bruns_separators(m: int) -> list[Fraction]:
@@ -125,55 +145,83 @@ def _bruns_separators(m: int) -> list[Fraction]:
     # Measured against tests/oracles.legendre_nodes for m = 1..600, every
     # root of Q lies at least 0.95/m^2 from every separator in q (the
     # tightest gap is next to q = 0, about 1.85/m^2 for large m).  Rounding
-    # to denominators up to 2^32 moves a point by less than 2^-32, which
-    # that margin covers up to m of several 10^4 by extrapolation, and
-    # small denominators keep the exact checks cheap.
-    return [Fraction(math.cos(j * math.pi / (m + 0.5)) ** 2).limit_denominator(2 ** 32)
+    # to the nearest multiple of 2^-32 moves a point by at most 2^-33, which
+    # that margin covers up to m of several 10^4 by extrapolation, and the
+    # power-of-two denominators keep the exact checks cheap.
+    return [Fraction(round(math.cos(j * math.pi / (m + 0.5)) ** 2 * 2 ** 32), 2 ** 32)
             for j in range(m // 2, -1, -1)]
 
 
-def _tricomi_starts(m: int) -> list[Decimal]:
+# Newton steps in floats that refine each of Tricomi's guesses; two reach
+# a float's accuracy from its O(m^-4) error, and the third is a spare.
+_FLOAT_STEPS = 3
+
+
+def _float_starts(m: int, separators: list[Fraction]) -> list[Decimal]:
+    # Newton starts for the positive zeros of P_m in increasing order:
     # Tricomi's asymptotic guess (1 - 1/(8m^2) + 1/(8m^3)) cos(pi (4k-1)/(4m+2))
-    # for the k-th largest zero of P_m, for the positive zeros in increasing
-    # order; its error is O(m^-4), so Newton needs few steps from it.
+    # for the k-th largest zero, clipped into the float image of its
+    # bracket between separators and refined there by Newton in floats on
+    # the same recurrence.  A step that would leave the bracket, or a value
+    # that under- or overflows, stops the refinement; floats only propose.
     scale = 1 - 1 / (8 * m * m) + 1 / (8 * m ** 3)
-    return [Decimal(scale * math.cos(math.pi * (4 * k - 1) / (4 * m + 2)))
-            for k in range(m // 2, 0, -1)]
+    v = [float(cf_coefficient(k)) for k in range(1, m)]
+    ends = [math.sqrt(q) for q in separators]
+    starts = []
+    for k, lo, hi in zip(range(m // 2, 0, -1), ends, ends[1:]):
+        x = min(max(scale * math.cos(math.pi * (4 * k - 1) / (4 * m + 2)), lo), hi)
+        for _ in range(_FLOAT_STEPS):
+            if not lo < x < hi:
+                break
+            w, dw = _denominator_and_derivative(x, v)
+            if not dw:
+                break
+            x_new = x - w / dw
+            if x_new == x or not lo < x_new < hi:
+                break
+            x = x_new
+        starts.append(Decimal(x))
+    return starts
 
 
 def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRule:
     """The (n+1)-point rule of degree 2n+1.
 
     Nodes are the roots of the degree n+1 convergent denominator W, found to
-    the requested precision; the weight at node b is V(b)/W'(b).  Bruns'
-    separators bracket the roots once exact sign checks certify them, and
-    Newton starts from Tricomi's asymptotic guesses; both come from floats,
-    which may cost time but never digits.  Root polishing and weights
-    evaluate W, W' and V at decimal points by the continued-fraction
-    recurrence itself, which stays accurate near +-1 where Horner's scheme
-    on the monomial coefficients cancels; W' at each node is the one the
-    residual check already computed, so a weight costs one V recurrence.
-    Weights are computed for the nonnegative nodes and mirrored; a weight
-    sum that misses 1 by more than 10**-(prec-5) raises ArithmeticError.
-    The rule is built on [-1, 1] and mapped affinely when the t-form is
-    requested.  Tested up to n = 299 at precision 50.
+    the requested precision.  Bruns' separators bracket the roots once exact
+    sign checks certify them, and Newton starts from Tricomi's asymptotic
+    guesses refined by Newton in floats; both come from floats, which may
+    cost time but never digits.  Decimal Newton then climbs a precision
+    ladder to the working precision, evaluating W and W' at decimal points
+    by the continued-fraction recurrence itself, which stays accurate near
+    +-1 where Horner's scheme on the monomial coefficients cancels.  The
+    weight at a node comes from the final, unrounded Newton iterate x and
+    the W'(x) its residual gate computed, by the Christoffel-Darboux form
+    1/((1-x)(1+x) a_m^2 W'(x)^2) with a_m = (2m)!/(2^m m!^2) the leading
+    coefficient of P_m and m = n+1; it equals V/W' at the node, the half
+    measure's 1/((1-x^2) P_m'(x)^2).  Weights are computed for the
+    nonnegative nodes and mirrored; a weight sum that misses 1 by more than
+    10**-(prec-5) raises ArithmeticError.  The rule is built on [-1, 1] and
+    mapped affinely when the t-form is requested.  Tested up to n = 299 at
+    precision 50.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     prec = resolve_precision(prec)
-    pair = legendre_pair(n + 1)
+    m = n + 1
+    pair = legendre_pair(m)
+    separators = _bruns_separators(m)
     with localcontext(working_context(prec)):
-        v = [_as_decimal(cf_coefficient(k)) for k in range(1, n + 1)]
         found = real_roots_symmetric(
-            pair.denominator, prec, lambda x: _denominator_and_derivative(x, v),
-            separators=_bruns_separators(n + 1), starts=_tricomi_starts(n + 1),
+            pair.denominator, prec, _decimal_evaluator(m),
+            separators=separators, starts=_float_starts(m, separators),
         )
-        roots = found.roots
-        # V(b)/W'(b) at the nonnegative nodes; the negative ones mirror them.
+        # a_m^2 = (C(2m, m)/2^m)^2, rounded once.
+        lead2 = _as_decimal(Fraction(math.comb(2 * m, m) ** 2, 4 ** m))
         half = (n + 1) // 2
         upper = [
-            round_to(_recurrence(b, v, Decimal(0), Decimal(1))[1] / dw, prec)
-            for b, dw in zip(roots[half:], found.derivatives[half:])
+            round_to(1 / ((1 - x) * (1 + x) * lead2 * dw * dw), prec)
+            for x, dw in zip(found.iterates[half:], found.derivatives[half:])
         ]
         lower = upper[::-1] if n % 2 else upper[:0:-1]
         weights = tuple(lower + upper)
@@ -189,7 +237,7 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
         nodes_exact = weights_exact = None
     rule = QuadRule(
         convention=U11,
-        nodes=roots,
+        nodes=found.roots,
         weights=weights,
         nodes_exact=nodes_exact,
         weights_exact=weights_exact,

@@ -80,11 +80,14 @@ def to_hp(value, prec: int | None = None) -> Decimal:
     """Convert an int/Fraction/str/Decimal to an HPScalar at the given precision.
 
     Fraction conversion is a single correctly rounded division, hence exact to
-    within half an ulp at the requested precision.
+    within half an ulp at the requested precision.  A NaN or an infinity
+    raises ValueError: it has no digits to round.
     """
     prec = resolve_precision(prec)
     with localcontext(working_context(prec)):
         out = _as_decimal(value)
+    if not out.is_finite():
+        raise ValueError(f"to_hp requires a finite value, got {value}")
     return round_to(out, prec)
 
 

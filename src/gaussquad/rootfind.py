@@ -13,21 +13,26 @@ comes from an uncertified bracket.  Each bracket is polished in decimal
 arithmetic by safeguarded Newton from a caller-supplied start, with the
 caller's evaluation of (W, W'): each evaluation narrows the bracket, and a
 step that would leave it is replaced by one bisection step, after which
-Newton resumes.  Negative roots come from mirroring, and a root at the
-origin is exact.
+Newton resumes.  Newton climbs a precision ladder: it iterates on the
+lowest rung, at 24 digits or more, until its step is below half of them,
+then takes one step per rung, each rung about twice the one below, up to
+the working precision, where it iterates until the step is negligible;
+that last evaluation serves the gate below.  Negative
+roots come from mirroring, and a root at the origin is exact.
 
 Floats may propose points and starts, but never decide a result: exact
 signs certify every bracket and the residual gate below every root.
 Violations of the expected root structure are detected and reported as
 :class:`RootIsolationError`; the module never silently returns a wrong
-root count, nor a root whose residual |W/W'|, evaluated at the rounded
-root, exceeds the promised 10**-(prec-5).
+root count, nor a root r rounded from the final iterate x unless
+|W(x)/W'(x)| + |r - x|, a bound on the distance from r to the root
+up to second order, is within the promised 10**-(prec-5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -36,6 +41,11 @@ from .ratpoly import RatPoly
 
 # Bisection alone needs log2(10) < 3.4 steps per digit.
 _MAX_STEPS = 4 * MAX_PRECISION
+
+# The lowest rung of the precision ladder has at least this many digits,
+# half again a float's 16, so that Newton from a float start fills it in
+# one or two steps.
+_LOWEST_RUNG = 24
 
 # evaluate(x) -> (W(x), W'(x)) under the ambient decimal context.
 Evaluator = Callable[[Decimal], tuple[Decimal, Decimal]]
@@ -51,11 +61,13 @@ class RootIsolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootSet:
-    """Sorted roots, the largest Newton residual |W(r)/W'(r)| observed, and
-    W' at each root as the evaluator gave it at the rounded root."""
+    """Sorted roots, the largest residual bound |W(x)/W'(x)| + |r - x| over
+    the roots r and the final Newton iterates x they were rounded from, the
+    iterates themselves, and W' at each iterate as the evaluator gave it."""
 
     roots: tuple[Decimal, ...]
     residual_bound: Decimal
+    iterates: tuple[Decimal, ...]
     derivatives: tuple[Decimal, ...]
 
 
@@ -89,8 +101,20 @@ def _separator_brackets(q: RatPoly, separators: Sequence[Fraction]
     return list(zip(points, points[1:], signs))
 
 
+def _ladder(top: int) -> list[int]:
+    # Precisions rising to top, each rung four digits more than half the
+    # next: [34, 60] for top = 60 and [39, 70, 133, 258, 509, 1010] for
+    # top = 1010.  Newton from an iterate with about half a rung's digits
+    # fills the rung in one step, with four digits to spare for the factor
+    # |W''/2W'| that multiplies the squared error.
+    rungs = [top]
+    while rungs[-1] // 2 + 4 >= _LOWEST_RUNG:
+        rungs.append(rungs[-1] // 2 + 4)
+    return rungs[::-1]
+
+
 def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal, sign_lo: int,
-            tol: Decimal, start: Decimal) -> Decimal:
+            tol: Decimal, start: Decimal) -> tuple[Decimal, Decimal, Decimal]:
     # Safeguarded Newton on [lo, hi], whose ends bracket one sign change of
     # W, with sign_lo the sign at lo.  Every evaluation shrinks the bracket
     # to the side that keeps the root; a Newton step that would leave it is
@@ -98,28 +122,52 @@ def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal, sign_lo: int,
     # iterate stays strictly inside the bracket, so an evaluator is never
     # asked for a value at a bracket end such as u = 1: the start is clipped
     # to the inner 7/8 of the bracket.
+    #
+    # Evaluations climb _ladder up to the ambient precision.  The lowest
+    # rung iterates until the step is below half its digits, or the bracket
+    # is that narrow; each rung above takes one step.  The top rung
+    # iterates until |W/W'| at the iterate is within six digits of the
+    # ambient precision, and returns (x, W(x), W'(x)) from that evaluation;
+    # a bracket narrower than tol ends it at its midpoint instead.  A root
+    # within rounding of a bracket end, where the Newton step from a
+    # converged iterate lands on the end, is the one case that evaluates
+    # there.
+    rungs = _ladder(getcontext().prec)
+    top = len(rungs) - 1
+    settled = Decimal(1).scaleb(-(rungs[0] // 2))
+    converged = Decimal(1).scaleb(6 - rungs[top])
+    rung = 0
     margin = (hi - lo) / 16
     x = min(max(start, lo + margin), hi - margin)
     for _ in range(_MAX_STEPS):
-        fx, dfx = evaluate(x)
-        if fx == 0:
-            return x
-        if (fx > 0) == (sign_lo > 0):
-            lo = x
-        else:
-            hi = x
-        if dfx != 0:
-            step = fx / dfx
-            x_new = x - step
-            if abs(step) <= tol and lo <= x_new <= hi:
-                return x_new
-            if lo < x_new < hi:
-                x = x_new
-                continue
-        if hi - lo <= tol:
-            return (lo + hi) / 2
-        x = (lo + hi) / 2
-    raise RootIsolationError("safeguarded Newton did not converge", bracket=(lo, hi))
+        with localcontext() as ctx:
+            ctx.prec = rungs[rung]
+            fx, dfx = evaluate(x)
+            step = fx / dfx if dfx != 0 else None
+            if rung == top and step is not None and abs(step) <= converged:
+                return x, fx, dfx
+            # A sign taken within the rung's rounding noise of the root may
+            # be wrong, and would then move a bracket end past the root.
+            if fx != 0 and (step is None or abs(step) > Decimal(1).scaleb(4 - ctx.prec)):
+                if (fx > 0) == (sign_lo > 0):
+                    lo = x
+                else:
+                    hi = x
+            if step is not None and (lo < x - step < hi or (rung == top and abs(step) <= tol
+                                                            and lo <= x - step <= hi)):
+                x -= step
+            elif rung == top and hi - lo <= tol:
+                break
+            else:
+                step = None
+                x = (lo + hi) / 2
+            if rung < top and (rung > 0 or hi - lo <= settled
+                               or (step is not None and abs(step) <= settled)):
+                rung += 1
+    else:
+        raise RootIsolationError("safeguarded Newton did not converge", bracket=(lo, hi))
+    x = (lo + hi) / 2
+    return (x, *evaluate(x))
 
 
 def real_roots_symmetric(poly: RatPoly, prec: int | None, evaluate: Evaluator, *,
@@ -127,14 +175,17 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None, evaluate: Evaluator, *
                          starts: Sequence[Decimal]) -> RootSet:
     """All real roots of a definite-parity polynomial with roots in (-1, 1).
 
-    The returned roots are strictly increasing, symmetric about the origin,
-    and each satisfies |poly(r)/poly'(r)| <= 10**-(prec-5), measured at the
-    rounded root; a root that misses this bound raises RootIsolationError.
-    ``evaluate(x)`` returns (poly(x), poly'(x)) under the ambient decimal
-    context; it must keep its relative accuracy near the roots, which
-    Horner's scheme on the monomial coefficients does not at large degree.
-    The result's ``derivatives`` are the evaluator's poly' at each returned
-    root, mirrored by parity for the negative ones.
+    The returned roots are strictly increasing and symmetric about the
+    origin.  Each is rounded from a final Newton iterate x evaluated at the
+    working precision, and |poly(x)/poly'(x)| + |r - x| <= 10**-(prec-5)
+    holds for every root r; a root that misses this bound raises
+    RootIsolationError.  ``evaluate(x)`` returns (poly(x), poly'(x)) under
+    the ambient decimal context, which Newton sets to each rung of its
+    precision ladder in turn; it must keep its relative accuracy near the
+    roots, which Horner's scheme on the monomial coefficients does not at
+    large degree.  The result's ``iterates`` are those x and its
+    ``derivatives`` the evaluator's poly'(x), both mirrored by parity for
+    the negative roots.
 
     ``separators``, rationals rising in [0, 1] in q = u**2, one more than
     there are positive roots, bracket one root between each consecutive
@@ -158,20 +209,19 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None, evaluate: Evaluator, *
             f"where poly(u) = u**{s} Q(u**2), by exact sign changes"
         )
     tol = Decimal(1).scaleb(-(prec - 5))
-    positives: list[tuple[Decimal, Decimal]] = []
+    positives: list[tuple[Decimal, Decimal, Decimal]] = []
     residual = Decimal(0)
     with localcontext(working_context(prec)):
         for (qlo, qhi, sign_lo), start in zip(brackets, starts):
             # Sign of W on (0,1) matches the sign of Q at the q-bracket ends.
-            root = _polish(evaluate, _as_decimal(qlo).sqrt(), _as_decimal(qhi).sqrt(),
-                           sign_lo, tol, start)
-            root = round_to(root, prec)
-            fx, dfx = evaluate(root)
+            x, fx, dfx = _polish(evaluate, _as_decimal(qlo).sqrt(), _as_decimal(qhi).sqrt(),
+                                 sign_lo, tol, start)
             if dfx == 0:
                 raise RootIsolationError("derivative vanished at a computed root",
                                          bracket=(qlo, qhi))
-            residual = max(residual, abs(fx / dfx))
-            positives.append((root, dfx))
+            root = round_to(x, prec)
+            residual = max(residual, abs(fx / dfx) + abs(root - x))
+            positives.append((root, x, dfx))
         residual = round_to(residual, prec)
         if residual > tol:
             raise RootIsolationError(
@@ -183,14 +233,15 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None, evaluate: Evaluator, *
             raise RootIsolationError(
                 f"root {positives[-1][0]} is not inside the open interval (-1, 1)"
             )
-        # W' has the parity opposite to W's: W'(-r) = -W'(r) when W is even.
-        pairs = [(-r, d if s else -d) for r, d in reversed(positives)]
+        # W' has the parity opposite to W's: W'(-x) = -W'(x) when W is even.
+        triples = [(-r, -x, d if s else -d) for r, x, d in reversed(positives)]
         if s == 1:
-            pairs.append((Decimal(0), evaluate(Decimal(0))[1]))
-        pairs.extend(positives)
-        if len(pairs) != poly.degree:
+            triples.append((Decimal(0), Decimal(0), evaluate(Decimal(0))[1]))
+        triples.extend(positives)
+        if len(triples) != poly.degree:
             raise RootIsolationError(
-                f"found {len(pairs)} roots for a degree {poly.degree} polynomial"
+                f"found {len(triples)} roots for a degree {poly.degree} polynomial"
             )
-    return RootSet(roots=tuple(r for r, _ in pairs), residual_bound=residual,
-                   derivatives=tuple(d for _, d in pairs))
+    roots, iterates, derivatives = zip(*triples)
+    return RootSet(roots=roots, residual_bound=residual, iterates=iterates,
+                   derivatives=derivatives)

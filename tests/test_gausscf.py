@@ -3,7 +3,8 @@
 import hashlib
 import sys
 import threading
-from decimal import Context, Decimal, localcontext
+from collections import Counter
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from gaussquad.momseries import (
     product_split,
     rational_function_tail,
 )
+from gaussquad.numerics import working_context
 from gaussquad.ratpoly import RatPoly, mod_inverse_eval
 from oracles import lagrange_weights_hp, legendre_eval, legendre_nodes
 
@@ -339,29 +341,53 @@ class TestLargeOrders:
                 assert abs(weight - want) <= want * Decimal(1).scaleb(-(prec - 5))
 
     def test_asymptotic_starts_save_evaluations(self, monkeypatch):
-        # Evaluations of (W, W') per nonnegative node, Newton and residual
-        # check together: the weights reuse the residual check's W'.  The
-        # midpoint starts of the grid brackets took 7.3.
-        calls = []
+        # Recurrences per nonnegative node, counted by arithmetic: floats
+        # refine the start, the lower rungs of the precision ladder bring it
+        # to about half the working digits, and the working precision takes
+        # Newton's last step and the gate's evaluation.  Before the ladder,
+        # all 4.75 evaluations of (W, W') per node ran at the working
+        # precision, and each weight added a V recurrence.
+        calls = Counter()
         exact = gausscf._denominator_and_derivative
 
         def counting(x, v):
-            calls.append(x)
+            calls["float" if isinstance(x, float) else getcontext().prec] += 1
             return exact(x, v)
 
         monkeypatch.setattr(gausscf, "_denominator_and_derivative", counting)
         gauss_rule(100, 50)
-        assert len(calls) / 51 <= 5.5
+        full = calls.pop(working_context(50).prec)
+        floats = calls.pop("float")
+        assert full / 51 <= 2.2
+        assert floats / 50 <= gausscf._FLOAT_STEPS
+        assert 0 < sum(calls.values()) / 50 <= 3
+        assert all(prec < working_context(50).prec for prec in calls)
+
+    def test_weights_run_no_numerator_recurrence(self, monkeypatch):
+        # The numerator V starts its recurrence from X(0) = 0; the weights
+        # come from W' alone, so every recurrence a rule runs is W's.
+        starts = []
+        recurrence = gausscf._recurrence
+
+        def recording(x, v, x0, x1):
+            starts.append(x0)
+            return recurrence(x, v, x0, x1)
+
+        monkeypatch.setattr(gausscf, "_recurrence", recording)
+        gauss_rule(28, 50)
+        assert starts
+        assert all(x0 == 1 for x0 in starts)
 
     def test_weight_sum_checked_at_rule_precision(self, monkeypatch):
-        # Derivatives off by one part in 1e40 leave the nodes alone but move
-        # the weights; the rule's own check catches what QuadRule's fixed
-        # 1e-25 tolerance would let through.
+        # Decimal derivatives off by one part in 1e40 leave the nodes alone
+        # but move the weights; the rule's own check catches what QuadRule's
+        # fixed 1e-25 tolerance would let through.  The float starts, which
+        # one part in 1e40 cannot move, are left exact.
         exact = gausscf._denominator_and_derivative
 
         def skewed(x, v):
             w, dw = exact(x, v)
-            return w, dw * (1 + Decimal("1e-40"))
+            return (w, dw) if isinstance(x, float) else (w, dw * (1 + Decimal("1e-40")))
 
         monkeypatch.setattr(gausscf, "_denominator_and_derivative", skewed)
         with pytest.raises(ArithmeticError, match="unit mass"):
@@ -399,6 +425,34 @@ class TestCorrectRounding:
         assert _misrounded(nodes, rule.nodepoly, 50) == [nodes[20]]
 
 
+def _weight_ulps(n: int, prec: int) -> list[Decimal]:
+    # Error of each weight of gauss_rule(n, prec) in units of the last
+    # place, against the half measure's 1/((1-x^2) P'(x)^2) at oracle nodes
+    # with fifteen more digits.
+    rule = gauss_rule(n, prec)
+    with localcontext(Context(prec=prec + 30)):
+        out = []
+        for w, x in zip(rule.weights, legendre_nodes(n + 1, prec + 15), strict=True):
+            _, dp = legendre_eval(n + 1, x)
+            want = 1 / ((1 - x * x) * dp * dp)
+            out.append(abs(w - want).scaleb(prec - 1 - want.adjusted()))
+    return out
+
+
+class TestCorrectlyRoundedWeights:
+    """Every weight is the oracle's weight correctly rounded: within half an
+    ulp.  Weights taken at the rounded node, which carries the node's
+    rounding error times |w'/w| ~ n^2, missed by 30 ulps at (28, 50) and
+    by 1,679 at (151, 50)."""
+
+    # The orders of the fingerprint below, and five more up to n = 151 and
+    # precision 1000.
+    @pytest.mark.parametrize("n, prec", [(0, 50), (1, 50), (4, 50), (12, 50), (28, 50), (52, 50),
+                                         (151, 50), (96, 200), (48, 1000)])
+    def test_weights_within_half_an_ulp(self, n, prec):
+        assert max(_weight_ulps(n, prec)) <= Decimal("0.5")
+
+
 class TestWeightPolynomial:
     def test_small_orders(self):
         assert weight_polynomial(0) == RatPoly.one()
@@ -424,10 +478,12 @@ class TestWeightPolynomial:
 
 
 # sha256 over repr(gauss_rule(n, 50)) for n in FINGERPRINT_ORDERS, then
-# repr(weight_polynomial(n)) for n = 0..40, as the u-form weight
-# inversion and the per-order lru_cache convergents produced them.
+# repr(weight_polynomial(n)) for n = 0..40.  The nodes and the weight
+# polynomials are those of the u-form weight inversion and the per-order
+# lru_cache convergents; the weights are the correctly rounded ones that
+# TestCorrectlyRoundedWeights proves at every order listed here.
 FINGERPRINT_ORDERS = (0, 1, 4, 28, 52)
-FINGERPRINT = "94245c5c32bee1f38bb99aa97ee8544db4f8b34ab436986c5531d55f4b261922"
+FINGERPRINT = "5d59dca829efe6699f9cedb9f60227e32c38670b166094f924cc8569fe4f26c3"
 
 
 def test_rules_and_weight_polynomials_fingerprint():

@@ -125,6 +125,15 @@ class TestConversion:
         with pytest.raises(ValueError, match="signalling NaN"):
             fn(value)
 
+    @pytest.mark.parametrize("value", ["NaN", "-NaN", Decimal("NaN"), Decimal("-NaN"),
+                                       "Infinity", "-Infinity", "inf",
+                                       Decimal("Infinity"), Decimal("-Infinity")])
+    def test_non_finite_input_raises(self, value):
+        # Like hp_ln and hp_log10_scaled, the conversion refuses what no
+        # digit string renders, rather than passing it on.
+        with pytest.raises(ValueError, match="finite"):
+            to_hp(value)
+
     @pytest.mark.parametrize("fn", [to_hp, hp_ln, hp_log10_scaled])
     def test_malformed_string_raises_value_error(self, fn):
         with pytest.raises(ValueError, match="not a decimal number"):

@@ -7,15 +7,16 @@ import pytest
 
 from gaussquad.gausscf import (
     _bruns_separators,
-    _denominator_and_derivative,
-    _tricomi_starts,
-    cf_coefficient,
+    _decimal_evaluator,
+    _float_starts,
     legendre_pair,
 )
-from gaussquad.numerics import _as_decimal, format_sig, working_context
+from gaussquad.numerics import format_sig, working_context
 from gaussquad.ratpoly import RatPoly
 from gaussquad.rootfind import (
     RootIsolationError,
+    _ladder,
+    _parity_split,
     _polish,
     _separator_brackets,
     real_roots_symmetric,
@@ -38,23 +39,17 @@ def _toy_roots(poly: RatPoly, separators, starts):
                                 starts=[Decimal(x) for x in starts])
 
 
-def _recurrence_evaluator(m: int, prec: int = 50):
-    # The recurrence evaluation gauss_rule uses, which keeps every digit at
-    # m = 40, where Horner on the monomial coefficients would not.
-    with localcontext(working_context(prec)):
-        v = [_as_decimal(cf_coefficient(k)) for k in range(1, m)]
-    return lambda x: _denominator_and_derivative(x, v)
-
-
 def _legendre_roots(m: int, prec: int = 50, *, evaluate=None, separators=None, starts=None):
     # Roots of the monic Legendre W of degree m as gauss_rule finds them:
-    # Bruns' separators, Tricomi's starts and the recurrence evaluator,
-    # unless a test replaces one of them.
+    # Bruns' separators, float-refined Tricomi starts and the recurrence
+    # evaluator, which keeps every digit at m = 40, where Horner on the
+    # monomial coefficients would not, unless a test replaces one of them.
+    seps = _bruns_separators(m)
     return real_roots_symmetric(
         legendre_pair(m).denominator, prec,
-        _recurrence_evaluator(m, prec) if evaluate is None else evaluate,
-        separators=_bruns_separators(m) if separators is None else separators,
-        starts=_tricomi_starts(m) if starts is None else starts,
+        _decimal_evaluator(m) if evaluate is None else evaluate,
+        separators=seps if separators is None else separators,
+        starts=_float_starts(m, seps) if starts is None else starts,
     )
 
 
@@ -118,6 +113,11 @@ class TestLegendreFamily:
 
 
 class TestPolish:
+    @pytest.mark.parametrize("top, rungs", [(50, [29, 50]), (60, [34, 60]), (210, [33, 58, 109, 210]),
+                                            (1010, [39, 70, 133, 258, 509, 1010])])
+    def test_ladder_doubles_up_to_the_working_precision(self, top, rungs):
+        assert _ladder(top) == rungs
+
     def test_step_leaving_the_bracket_costs_one_bisection(self):
         # x^3 - 2x + 2 on [-2, 1/2]: from the start -3/4, Newton jumps to
         # about 9.1.  One bisection step replaces it and Newton resumes, where
@@ -129,8 +129,8 @@ class TestPolish:
             return x ** 3 - 2 * x + 2, 3 * x * x - 2
 
         with localcontext(Context(prec=60)):
-            root = _polish(evaluate, Decimal(-2), Decimal("0.5"), -1, Decimal("1e-45"),
-                           Decimal("-0.75"))
+            root, _, _ = _polish(evaluate, Decimal(-2), Decimal("0.5"), -1, Decimal("1e-45"),
+                                 Decimal("-0.75"))
             assert abs(root ** 3 - 2 * root + 2) < Decimal("1e-44")
         assert calls[1] == (Decimal(-2) + Decimal("-0.75")) / 2
         assert len(calls) <= 12
@@ -162,8 +162,8 @@ class TestPolishStarts:
 
         with localcontext(Context(prec=60)):
             third = Decimal(1) / 3
-            root = _polish(evaluate, Decimal("0.1"), Decimal("0.9"), -1, Decimal("1e-45"),
-                           Decimal(start))
+            root, _, _ = _polish(evaluate, Decimal("0.1"), Decimal("0.9"), -1, Decimal("1e-45"),
+                                 Decimal(start))
         assert abs(root - newton_sqrt(F(1, 3), 55)) < Decimal("1e-45")
 
     @pytest.mark.parametrize("bad", ["0", "0.99999", "-3"])
@@ -202,6 +202,21 @@ UNCERTIFIED = [
 
 
 class TestSeparators:
+    def test_bruns_separators_certify_up_to_order_200(self):
+        for m in range(1, 201):
+            q = _parity_split(legendre_pair(m).denominator)[1]
+            brackets = _separator_brackets(q, _bruns_separators(m))
+            assert brackets is not None and len(brackets) == m // 2, m
+
+    @pytest.mark.parametrize("m", [299, 300, 451, 600])
+    def test_bruns_separators_certify_at_large_orders(self, m):
+        # The points are multiples of 2^-32, at most 2^-33 from the floats.
+        seps = _bruns_separators(m)
+        assert all((2 ** 32) % x.denominator == 0 for x in seps)
+        q = _parity_split(legendre_pair(m).denominator)[1]
+        brackets = _separator_brackets(q, seps)
+        assert brackets is not None and len(brackets) == m // 2
+
     def test_certified_separators_match_the_oracle(self):
         got = _legendre_roots(40).roots
         for a, b in zip(got, legendre_nodes(40, 50), strict=True):
@@ -236,12 +251,16 @@ class TestSeparators:
 class TestDerivatives:
     @pytest.mark.parametrize("m", [6, 7])
     def test_derivative_at_every_root(self, m):
-        evaluate = _recurrence_evaluator(m)
+        # W' at the unrounded final iterate that each root was rounded from.
+        evaluate = _decimal_evaluator(m)
         got = _legendre_roots(m, evaluate=evaluate)
-        assert len(got.derivatives) == m
+        assert len(got.derivatives) == len(got.iterates) == m
         with localcontext(working_context(50)):
-            for root, dw in zip(got.roots, got.derivatives):
-                assert dw == evaluate(root)[1]
+            for root, x, dw in zip(got.roots, got.iterates, got.derivatives):
+                assert dw == evaluate(x)[1]
+                assert format_sig(x, 50) == format_sig(root, 50)
+                if root:
+                    assert x != root
 
 
 class TestRejection:
