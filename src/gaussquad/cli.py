@@ -62,6 +62,7 @@ from .numerics import (
 )
 
 MAX_ORDER = 12
+MAX_K = 64
 
 DEMO_FROM = 100000
 DEMO_WIDTH = 100000
@@ -256,6 +257,7 @@ def cmd_integrate(args, parser) -> Report:
         parser.error(str(exc))
     if width == 0:
         parser.error("--width must be nonzero")
+    exact = None
     if args.samples:
         try:
             values = _read_samples(args.samples, args.rule, args.n, prec)
@@ -278,6 +280,12 @@ def cmd_integrate(args, parser) -> Report:
             f = named_integrand(args.fn, prec)
         except ValueError as exc:
             raise CliError(str(exc), code=2) from None
+        if args.fn.startswith("poly:") and start == 0 and width == 1:
+            # One error coefficient per polynomial coefficient, as many as --K allows.
+            exact = parse_poly_spec(args.fn)
+            if exact.degree >= MAX_K:
+                raise CliError(f"the exact report needs a polynomial of degree below {MAX_K}, "
+                               f"got degree {exact.degree}", code=2)
         try:
             value = apply_rule(rule, f, start, width, prec)
         except RuntimeError as exc:
@@ -287,13 +295,12 @@ def cmd_integrate(args, parser) -> Report:
         if args.fn == "reciprocal-log":
             _warn_if_pole(start, width, prec)
     result = {"rule": args.rule, "n": args.n, "value": format_sig(value, 16)}
-    if not args.samples and args.fn.startswith("poly:") and start == 0 and width == 1:
-        poly = parse_poly_spec(args.fn)
-        ks = error_coefficients(rule, poly.degree + 1, prec)
+    if exact is not None:
+        ks = error_coefficients(rule, exact.degree + 1, prec)
         err = sum(
-            (ks[m] * c for m, c in enumerate(poly.coeffs)), Fraction(0)
+            (ks[m] * c for m, c in enumerate(exact.coeffs)), Fraction(0)
         )
-        truth = poly.integral_01()
+        truth = exact.integral_01()
         result["exact_value"] = _rat_str(truth - err)
         result["exact_error"] = _rat_str(err)
         result["true_integral"] = _rat_str(truth)
@@ -306,8 +313,8 @@ def cmd_integrate(args, parser) -> Report:
 
 def cmd_error_coeffs(args, parser) -> Report:
     rule = _build_rule(args, parser)
-    if not (1 <= args.K <= 64):
-        parser.error("need 1 <= K <= 64")
+    if not (1 <= args.K <= MAX_K):
+        parser.error(f"need 1 <= K <= {MAX_K}")
     ks = [_rat_str(k) for k in error_coefficients(rule, args.K, args.prec).k]
     return Report({"rule": args.rule, "n": args.n, "convention": rule.convention, "k": ks},
                   ["m", "k"], list(enumerate(ks)), [f"k[{m}]={k}" for m, k in enumerate(ks)])
@@ -362,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_err = sub.add_parser("error-coeffs", parents=[common], help="error coefficients")
     p_err.add_argument("--rule", choices=["gauss", "cotes"], default="gauss")
     p_err.add_argument("--n", type=int, required=True)
-    p_err.add_argument("--K", type=int, default=8, help="number of coefficients (max 64)")
+    p_err.add_argument("--K", type=int, default=8, help=f"number of coefficients (max {MAX_K})")
     p_err.set_defaults(run=cmd_error_coeffs)
 
     return parser

@@ -22,7 +22,8 @@ costs about one Newton step and one gate evaluation at the working
 precision; floats propose separators and starts, so a poor start costs
 iterations but never digits, and a poor separator cannot yield a root.
 Each weight comes from W' at the unrounded final iterate, by the
-Christoffel-Darboux form of V/W', with no V recurrence.
+Christoffel-Darboux form of V/W', with no V recurrence.  Root isolation
+holds the one parity split and the one mirror of the roots.
 
 The small linear-system construction (choose the node polynomial so that
 the first coefficients of the split tail vanish) is also provided; it is
@@ -40,7 +41,7 @@ from fractions import Fraction
 from .interprule import T01, U11, QuadRule, _moments, to_convention
 from .numerics import _as_decimal, resolve_precision, round_to, working_context
 from .ratpoly import RatPoly, mod_inverse_eval
-from .rootfind import real_roots_symmetric
+from .rootfind import _parity_split, real_roots_symmetric
 
 
 @dataclass(frozen=True)
@@ -100,23 +101,18 @@ def legendre_pair(m: int) -> LegendrePair:
     return _chain[m]
 
 
-def _recurrence(x, v, x0, x1):
-    # X(k+1) = x*X(k) + v(k)*X(k-1) from X(0), X(1), in floats or under the
-    # ambient decimal context; returns (X(m-1), X(m)) for m = len(v) + 1.
-    for vk in v:
-        x0, x1 = x1, x * x1 + vk * x0
-    return x0, x1
-
-
 def _denominator_and_derivative(x, v):
     # (W(x), W'(x)) for the monic Legendre W of degree m = len(v) + 1, in
     # the arithmetic of x and v: floats, or decimals under the ambient
-    # context.  The derivative comes from (1-x^2) P_m' = m (P_(m-1) - x P_m)
+    # context.  W comes from W(k+1) = x*W(k) + v(k)*W(k-1) with W(0) = 1 and
+    # W(1) = x.  The derivative comes from (1-x^2) P_m' = m (P_(m-1) - x P_m)
     # written for the monic W_m = P_m/a_m, where a_(m-1)/a_m = m/(2m-1);
     # the factor (1-x)(1+x) keeps its relative accuracy near the ends,
     # where 1-x*x would cancel.
     m = len(v) + 1
-    w_prev, w = _recurrence(x, v, type(x)(1), x)
+    w_prev, w = type(x)(1), x
+    for vk in v:
+        w_prev, w = w, x * w + vk * w_prev
     return w, m * (w_prev * m / (2 * m - 1) - x * w) / ((1 - x) * (1 + x))
 
 
@@ -199,8 +195,9 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     the W'(x) its residual gate computed, by the Christoffel-Darboux form
     1/((1-x)(1+x) a_m^2 W'(x)^2) with a_m = (2m)!/(2^m m!^2) the leading
     coefficient of P_m and m = n+1; it equals V/W' at the node, the half
-    measure's 1/((1-x^2) P_m'(x)^2).  Weights are computed for the
-    nonnegative nodes and mirrored; a weight sum that misses 1 by more than
+    measure's 1/((1-x^2) P_m'(x)^2).  The form is even in x and in W', so
+    the iterates and derivatives that root isolation mirrored give weights
+    symmetric bit for bit; a weight sum that misses 1 by more than
     10**-(prec-5) raises ArithmeticError.  The rule is built on [-1, 1] and
     mapped affinely when the t-form is requested.  Tested up to n = 299 at
     precision 50.
@@ -218,13 +215,8 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
         )
         # a_m^2 = (C(2m, m)/2^m)^2, rounded once.
         lead2 = _as_decimal(Fraction(math.comb(2 * m, m) ** 2, 4 ** m))
-        half = (n + 1) // 2
-        upper = [
-            round_to(1 / ((1 - x) * (1 + x) * lead2 * dw * dw), prec)
-            for x, dw in zip(found.iterates[half:], found.derivatives[half:])
-        ]
-        lower = upper[::-1] if n % 2 else upper[:0:-1]
-        weights = tuple(lower + upper)
+        weights = tuple(round_to(1 / ((1 - x) * (1 + x) * lead2 * dw * dw), prec)
+                        for x, dw in zip(found.iterates, found.derivatives))
         defect = abs(sum(weights, Decimal(0)) - 1)
     if defect > Decimal(1).scaleb(-(prec - 5)):
         raise ArithmeticError(
@@ -249,13 +241,6 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     return to_convention(rule, convention, prec)
 
 
-def _in_q(p: RatPoly, parity: int) -> RatPoly:
-    # P with p(u) = u**parity * P(u**2), for p whose coefficients of the
-    # other parity vanish.
-    num, den = p.numerators
-    return RatPoly.from_numerators(num[parity::2], den)
-
-
 def weight_polynomial(n: int) -> RatPoly:
     """Exact polynomial of degree <= n whose value at each node is its weight.
 
@@ -264,18 +249,19 @@ def weight_polynomial(n: int) -> RatPoly:
     itself as modulus, so the result agrees with Z/zeta at every node.
     Z/zeta is even, so the inversion runs in q = u**2 on polynomials of
     half the degree: with W(u) = u**s Q(u**2), Z and zeta both carry the
-    factor u**(1-s), which cancels, and the modulus q**s Q(q) has the
-    squared nodes for roots.  Its result R gives R(u**2), the unique
-    polynomial of degree below n+1 that takes the weights at the nodes.
+    factor u**(1-s), which cancels, and the modulus q**s Q(q), the split of
+    the even u**s W(u), has the squared nodes for roots.  Its result R
+    gives R(u**2), the unique polynomial of degree below n+1 that takes
+    the weights at the nodes.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     pair = legendre_pair(n + 1)
     s = (n + 1) % 2
     w, den = pair.denominator.numerators
-    modulus = RatPoly.from_numerators([0] * s + list(w[s::2]), den)
-    r, den = mod_inverse_eval(_in_q(pair.numerator, 1 - s),
-                              _in_q(pair.denominator.derivative(), 1 - s), modulus).numerators
+    modulus = _parity_split(RatPoly.from_numerators((0,) * s + w, den))[1]
+    r, den = mod_inverse_eval(_parity_split(pair.numerator)[1],
+                              _parity_split(pair.denominator.derivative())[1], modulus).numerators
     spread = [0] * (2 * len(r) - 1)
     spread[::2] = r
     return RatPoly.from_numerators(spread, den)

@@ -210,7 +210,9 @@ def error_coefficients(rule: QuadRule, count: int, prec: int | None = None) -> E
     The values come from long division of the product-split tail by the node
     polynomial; the defining moment differences are recomputed independently
     (exactly when the rule is exact, in decimal otherwise) and any
-    disagreement raises ArithmeticError.
+    disagreement raises ArithmeticError.  The decimal check allows
+    10**-(d-8), where d is the most significant digits any node or weight
+    carries, capped at ``prec``.
     """
     prec = resolve_precision(prec)
     node_poly = rule.nodepoly
@@ -224,7 +226,8 @@ def error_coefficients(rule: QuadRule, count: int, prec: int | None = None) -> E
     theta = divide_tail_by_poly(tail, node_poly, count)
     # The rule's own moments take the exact path exactly when the rule is exact.
     exact = rule.nodes_exact is not None and rule.weights_exact is not None
-    conv, tol = (Fraction, 0) if exact else (_as_decimal, Decimal(1).scaleb(-(prec - 8)))
+    digits = min(prec, max(len(x.as_tuple().digits) for x in rule.nodes + rule.weights))
+    conv, tol = (Fraction, 0) if exact else (_as_decimal, Decimal(1).scaleb(-(digits - 8)))
     with localcontext(working_context(prec)):
         sums = cauchy_expansion_of_rule(rule, count)
         for m in range(count):

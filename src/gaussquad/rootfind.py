@@ -18,7 +18,8 @@ lowest rung, at 24 digits or more, until its step is below half of them,
 then takes one step per rung, each rung about twice the one below, up to
 the working precision, where it iterates until the step is negligible;
 that last evaluation serves the gate below.  Negative
-roots come from mirroring, and a root at the origin is exact.
+roots come from mirroring, and a root at the origin is exact.  That mirror
+and the split into u**s Q(u**2) are the only uses of parity.
 
 Floats may propose points and starts, but never decide a result: exact
 signs certify every bracket and the residual gate below every root.
@@ -63,7 +64,8 @@ class RootIsolationError(RuntimeError):
 class RootSet:
     """Sorted roots, the largest residual bound |W(x)/W'(x)| + |r - x| over
     the roots r and the final Newton iterates x they were rounded from, the
-    iterates themselves, and W' at each iterate as the evaluator gave it."""
+    iterates themselves, and W' at each iterate as the evaluator gave it;
+    each sequence covers every root, mirrored exactly for the negative ones."""
 
     roots: tuple[Decimal, ...]
     residual_bound: Decimal
@@ -72,13 +74,13 @@ class RootSet:
 
 
 def _parity_split(poly: RatPoly) -> tuple[int, RatPoly]:
-    # W(u) = u**s * Q(u**2); raises if coefficients of mixed parity appear.
-    deg = poly.degree
-    s = deg % 2
-    for i, c in enumerate(poly.coeffs):
-        if c != 0 and i % 2 != s:
-            raise ValueError("polynomial does not have a definite parity")
-    return s, RatPoly(poly.coeffs[s::2])
+    # (s, Q) with poly(u) = u**s * Q(u**2) and s the parity of the degree;
+    # raises if a coefficient of the other parity is nonzero.
+    num, den = poly.numerators
+    s = poly.degree % 2
+    if any(num[1 - s::2]):
+        raise ValueError("polynomial does not have a definite parity")
+    return s, RatPoly.from_numerators(num[s::2], den)
 
 
 def _separator_brackets(q: RatPoly, separators: Sequence[Fraction]

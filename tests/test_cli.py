@@ -273,13 +273,30 @@ class TestIntegrate:
         assert (code, out) == (2, "")
         assert err.startswith("error: polynomial coefficient") and err.count("\n") == 1
 
+    def test_long_poly_spec_is_a_quick_usage_error_before_the_exact_report(self, capsys):
+        # 2,500 ones would take seconds of exact error-series work before
+        # the report proved too long to print.
+        spec = "poly:" + ",".join(["1"] * 2500)
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "integrate", "--n", "12", "--fn", spec)
+        assert time.perf_counter() - began < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the exact report needs a polynomial of degree below 64")
+        assert err.count("\n") == 1
+
+    def test_poly_spec_at_the_cap_is_reported_and_off_0_1_is_uncapped(self, capsys):
+        ones = "poly:" + ",".join(["1"] * 64)
+        code, out, _ = run_cli(capsys, "integrate", "--n", "3", "--fn", ones)
+        assert code == 0 and "exact_error=" in out
+        code, out, _ = run_cli(capsys, "integrate", "--n", "3", "--fn", ones + ",1",
+                               "--width", "2")
+        assert code == 0 and "exact" not in out
+
     @pytest.mark.parametrize("limit, q_digits", [(4300, 901), (640, 151)])
     def test_unprintable_exact_report_is_a_data_error(self, capsys, int_digit_limit,
                                                        limit, q_digits):
         # Five coefficients 1/q with coprime q of q_digits digits give the
-        # exact report a number past the interpreter's int-to-str limit;
-        # `--n 12` with 2,500 ones reaches 4300 digits through the error
-        # series, after seconds of exact work.
+        # exact report a number past the interpreter's int-to-str limit.
         int_digit_limit(limit)
         spec = "poly:" + ",".join(f"1/{10 ** (q_digits - 1) + 2 * i + 1}" for i in range(5))
         code, out, err = run_cli(capsys, "integrate", "--n", "3", "--fn", spec)
@@ -366,6 +383,24 @@ class TestSamples:
         )
         assert code == 3
         assert "n=4" in err
+
+    def test_header_for_another_rule_exits_3(self, capsys, tmp_path):
+        path = self.write_samples(tmp_path, ["#rule cotes n=2", "1", "2", "3"])
+        code, out, err = run_cli(
+            capsys, "integrate", "--rule", "gauss", "--n", "2", "--samples", path
+        )
+        assert (code, out) == (3, "")
+        assert err == ("error: bad samples file: samples file is for rule 'cotes', "
+                       "requested 'gauss'\n")
+
+    @pytest.mark.parametrize("header", ["# values of f at the nodes", "#", "#ruler cotes n=9"])
+    def test_comment_that_is_not_a_rule_line_is_ignored(self, capsys, tmp_path, header):
+        path = self.write_samples(tmp_path, [header, "1", "1", "1"])
+        code, out, err = run_cli(
+            capsys, "integrate", "--rule", "gauss", "--n", "2", "--samples", path
+        )
+        assert (code, err) == (0, "")
+        assert "value=1.000000000000000" in out
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(

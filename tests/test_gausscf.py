@@ -226,6 +226,19 @@ class TestGaussRule:
             assert abs(rule.nodes[i] + rule.nodes[j]) < Decimal("1e-42")
             assert abs(rule.weights[i] - rule.weights[j]) < Decimal("1e-42")
 
+    @pytest.mark.parametrize("prec", [50, 200, 1000])
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_exact_symmetry(self, n, prec):
+        # Each weight is computed at its own mirrored iterate, not copied
+        # from its partner; the form is even in x and W', so the rule must
+        # still be symmetric exactly, with odd and even node counts.
+        rule = gauss_rule(n, prec)
+        assert rule.weights == rule.weights[::-1]
+        assert [str(w) for w in rule.weights] == [str(w) for w in reversed(rule.weights)]
+        # copy_negate, as unary minus would round to the ambient 28 digits.
+        assert all(rule.nodes[i] == rule.nodes[-1 - i].copy_negate()
+                   for i in range(rule.npoints))
+
     @pytest.mark.parametrize("n", range(13))
     def test_total_mass(self, n):
         rule = gauss_rule(n)
@@ -362,21 +375,6 @@ class TestLargeOrders:
         assert floats / 50 <= gausscf._FLOAT_STEPS
         assert 0 < sum(calls.values()) / 50 <= 3
         assert all(prec < working_context(50).prec for prec in calls)
-
-    def test_weights_run_no_numerator_recurrence(self, monkeypatch):
-        # The numerator V starts its recurrence from X(0) = 0; the weights
-        # come from W' alone, so every recurrence a rule runs is W's.
-        starts = []
-        recurrence = gausscf._recurrence
-
-        def recording(x, v, x0, x1):
-            starts.append(x0)
-            return recurrence(x, v, x0, x1)
-
-        monkeypatch.setattr(gausscf, "_recurrence", recording)
-        gauss_rule(28, 50)
-        assert starts
-        assert all(x0 == 1 for x0 in starts)
 
     def test_weight_sum_checked_at_rule_precision(self, monkeypatch):
         # Decimal derivatives off by one part in 1e40 leave the nodes alone

@@ -194,6 +194,15 @@ class TestErrorCoefficients:
         with pytest.raises(ArithmeticError, match="mismatch at m=1"):
             error_coefficients(replace(rule, weights=bad), 8)
 
+    @pytest.mark.parametrize("prec", [50, 60])
+    def test_decimal_check_asks_only_the_digits_the_rule_carries(self, prec):
+        # A 40-digit rule checked at a higher precision must not be held to
+        # 10**-(prec-8), which its own rounding misses.
+        from gaussquad.gausscf import gauss_rule
+
+        ks = error_coefficients(gauss_rule(4, 40, convention=T01), 12, prec)
+        assert ks.first_nonzero() == 10
+
     @pytest.mark.parametrize("n, prec", [(28, 50), (12, 200)])
     def test_decimal_cross_check_catches_one_weight_moved(self, n, prec):
         # One weight moved by 10**-(prec-10), a hundred times the tolerance,
