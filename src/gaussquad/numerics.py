@@ -18,7 +18,8 @@ anything above 1000, the largest precision the package is tested at.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation, localcontext
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation,
+                     localcontext)
 from fractions import Fraction
 
 Rational = Fraction
@@ -31,6 +32,10 @@ GUARD_DIGITS = 10
 
 # ln(2) cache keyed by working-context precision.
 _LN2_CACHE: dict[int, Decimal] = {}
+
+# _ln reduces its argument into [_LN_LO, _LN_HI).
+_LN_LO = Decimal("0.75")
+_LN_HI = Decimal("1.5")
 
 
 def resolve_precision(prec: int | None) -> int:
@@ -118,14 +123,16 @@ def _ln2() -> Decimal:
 
 
 def _ln(x: Decimal) -> Decimal:
-    # Ambient context.  Reduce x = m * 2**k with m in [1, 2), then
-    # ln(m) = 2 atanh((m-1)/(m+1)) with |argument| < 1/3.
+    # Ambient context.  Reduce x = m * 2**k with m in [3/4, 3/2), then
+    # ln(m) = 2 atanh((m-1)/(m+1)) with |argument| <= 1/5.  The interval
+    # holds 1 inside it, so x near 1 on either side keeps k = 0 and an
+    # exact m - 1; with k = -1, ln(2x) - ln 2 would cancel.
     m = x
     k = 0
-    while m >= 2:
+    while m >= _LN_HI:
         m /= 2
         k += 1
-    while m < 1:
+    while m < _LN_LO:
         m *= 2
         k -= 1
     total = 2 * _atanh_series((m - 1) / (m + 1))
@@ -164,13 +171,12 @@ def hp_log10_scaled(w, prec: int | None = None) -> Decimal:
 
 
 def format_sig(x: Decimal, sig: int) -> str:
-    """Render ``x`` rounded half-even to ``sig`` significant digits.
+    """Render ``x`` rounded once, half-even, to ``sig`` significant digits.
 
-    Fixed-point notation is used whenever the leading digit sits within a
-    sane window of the decimal point; very small or very large magnitudes
-    fall back to ``d.dddE+xx`` scientific notation.  Zero renders with a
-    full run of zeros so column widths stay stable.  A NaN or an infinity
-    raises ValueError: no digit string renders it.
+    Fixed-point notation is used while the leading digit's exponent lies
+    in [-5, 20]; smaller or larger magnitudes render as ``d.dddE+xx``.
+    Zero renders with a full run of zeros so column widths stay stable.
+    A NaN or an infinity raises ValueError: no digit string renders it.
     """
     if sig < 1:
         raise ValueError("sig must be >= 1")
@@ -178,31 +184,15 @@ def format_sig(x: Decimal, sig: int) -> str:
         raise ValueError(f"cannot render non-finite value {x}")
     if x == 0:
         return "0." + "0" * sig
-    with localcontext(Context(prec=sig + 4, rounding=ROUND_HALF_EVEN)):
-        val = +x
-        for _ in range(2):
-            exp10 = val.adjusted()
-            q = val.quantize(Decimal(1).scaleb(exp10 - sig + 1))
-            if len(q.as_tuple().digits) <= sig:
-                break
-            val = q  # rounding carried into a new leading digit; requantize
-    sign, digits, exponent = q.as_tuple()
-    digits = "".join(map(str, digits)).ljust(sig, "0")[:sig]
-    adj = q.adjusted()
-    prefix = "-" if sign else ""
-    if -5 <= adj <= 20:
-        if adj >= sig - 1:
-            intpart = digits + "0" * (adj - sig + 1)
-            return prefix + intpart
-        if adj >= 0:
-            return prefix + digits[: adj + 1] + "." + digits[adj + 1 :]
-        return prefix + "0." + "0" * (-adj - 1) + digits
-    mantissa = digits[0] + "." + digits[1:] if sig > 1 else digits
-    return f"{prefix}{mantissa}E{adj:+d}"
+    ctx = Context(prec=sig, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    r = ctx.plus(x)
+    adj = r.adjusted()
+    # Exact: pads r with trailing zeros to exactly sig digits.
+    q = r.quantize(Decimal((0, (1,), adj - sig + 1)), context=ctx)
+    return format(q, "f" if -5 <= adj <= 20 else "E")
 
 
 def format_fixed(x: Decimal, places: int) -> str:
-    """Render ``x`` rounded half-even to a fixed number of decimal places."""
-    with localcontext(Context(prec=60, rounding=ROUND_HALF_EVEN)):
-        q = x.quantize(Decimal(1).scaleb(-places))
-    return str(q)
+    """Render ``x`` rounded once, half-even, to a fixed number of decimal places."""
+    with localcontext(Context(rounding=ROUND_HALF_EVEN)):
+        return format(x, f".{places}f")

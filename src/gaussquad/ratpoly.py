@@ -217,11 +217,6 @@ class RatPoly:
         p = c.numerator
         return _make([a * p for a in self._num] if p else [], self._den * c.denominator)
 
-    def monic(self) -> "RatPoly":
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        return _make(list(self._num), self._num[-1])
-
     def divrem(self, g: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         """Euclidean division: self = q*g + r with deg r < deg g, exactly.
 

@@ -230,7 +230,6 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None, evaluate: Evaluator, *
                 f"residual {residual:.3e} exceeds the promised 1e-{prec - 5}: "
                 f"the evaluation of the polynomial lost too many digits"
             )
-        positives.sort()
         if positives and positives[-1][0] >= 1:
             raise RootIsolationError(
                 f"root {positives[-1][0]} is not inside the open interval (-1, 1)"
@@ -240,10 +239,6 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None, evaluate: Evaluator, *
         if s == 1:
             triples.append((Decimal(0), Decimal(0), evaluate(Decimal(0))[1]))
         triples.extend(positives)
-        if len(triples) != poly.degree:
-            raise RootIsolationError(
-                f"found {len(triples)} roots for a degree {poly.degree} polynomial"
-            )
     roots, iterates, derivatives = zip(*triples)
     return RootSet(roots=roots, residual_bound=residual, iterates=iterates,
                    derivatives=derivatives)

@@ -325,6 +325,16 @@ class TestIntegrate:
         assert code == 0
         assert "value=1.000000000000000E+999990" in out
 
+    def test_value_rounding_past_the_default_exponent_limit_prints(self, capsys):
+        # Rounding to 16 digits carries the value to 1E+1000000, one past
+        # the default context's Emax; it prints rather than raising.
+        code, out, err = run_cli(
+            capsys, "integrate", "--rule", "cotes", "--n", "1", "--fn", "poly:1", "--from", "1",
+            "--width", "9.99999999999999999E+999999",
+        )
+        assert (code, err) == (0, "")
+        assert out == "rule=cotes\nn=1\nvalue=1.000000000000000E+1000000\n"
+
 
 class TestIntegrandFailures:
     @pytest.mark.parametrize(
@@ -531,8 +541,9 @@ DECIMALS = st.one_of(
     SMALL_DECIMALS,
     SMALL_DECIMALS,
     st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-1000001, 1000001)),
-    st.sampled_from(["0.5", "-2.5E-3", "1e999990", "-1e999990", "1e-999999999", "NaN",
-                     "-Infinity", "sNaN", "one", "", "1e", "--1"]),
+    st.sampled_from(["0.5", "-2.5E-3", "1e999990", "-1e999990", "1e-999999999",
+                     "9.99999999999999999e999999", "NaN", "-Infinity", "sNaN", "one", "",
+                     "1e", "--1"]),
 )
 COEFFICIENTS = st.one_of(
     SMALL_DECIMALS,

@@ -1,6 +1,6 @@
 """Scalar layer: decimal ln/log10, conversions, rendering."""
 
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -47,6 +47,20 @@ class TestHpLn:
         # the argument reduction would never return.
         with pytest.raises(ValueError, match="finite"):
             hp_ln(x)
+
+    @pytest.mark.parametrize("prec", [50, 200])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k", [1, 7, 30, 45])
+    def test_near_one_against_decimal_ln(self, k, sign, prec):
+        # x = 1 +- 10**-k.  Just below 1, an argument reduced to 2x takes
+        # ln(2x) - ln 2, which cancels: at 1 - 1e-45 it keeps 15 of 50
+        # digits.
+        with localcontext(Context(prec=120)):
+            x = 1 + sign * Decimal(1).scaleb(-k)
+            oracle = x.ln()
+            err = abs(hp_ln(x, prec) - oracle)
+        # The oracle carries 120 digits, which caps what prec = 200 can show.
+        assert err <= abs(oracle) * Decimal(1).scaleb(1 - min(prec, 115))
 
     def test_fraction_input(self):
         # ln(1/2) = -ln 2
@@ -154,6 +168,13 @@ class TestRendering:
             (Decimal("0.99999999"), 4, "1.000"),
             (Decimal("1.489734e-16"), 10, "1.489734000E-16"),
             (Decimal("12345.678"), 4, "12350"),
+            # A first rounding to sig + 4 digits makes a false tie of each,
+            # which half-even then breaks the wrong way.
+            (Decimal("-5.2500033074E+27"), 2, "-5.3E+27"),
+            (Decimal("1.23456789012345549999"), 16, "1.234567890123455"),
+            (Decimal("9.9949999"), 3, "9.99"),
+            (Decimal("0.000123450000001"), 4, "0.0001235"),
+            (Decimal("9.99999999999999999E+999999"), 16, "1.000000000000000E+1000000"),
         ],
     )
     def test_format_sig(self, value, sig, expected):
@@ -168,3 +189,16 @@ class TestRendering:
         assert format_fixed(Decimal("8390.39460796686"), 6) == "8390.394608"
         assert format_fixed(Decimal("8406.2431208437"), 7) == "8406.2431208"
         assert format_fixed(Decimal("1.25"), 1) == "1.2"  # half-even
+
+    @pytest.mark.parametrize(
+        "value, places, expected",
+        [
+            (Decimal("7.56E-7"), 9, "0.000000756"),
+            (Decimal("-3.515E-7"), 7, "-0.0000004"),
+            (Decimal("2.6E-33"), 12, "0.000000000000"),
+            (Decimal("1.5E+61"), 2, "15" + "0" * 60 + ".00"),
+            (Decimal("-9.334E+70"), 6, "-9334" + "0" * 67 + ".000000"),
+        ],
+    )
+    def test_format_fixed_stays_fixed_at_any_magnitude(self, value, places, expected):
+        assert format_fixed(value, places) == expected
