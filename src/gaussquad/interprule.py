@@ -10,8 +10,10 @@ unchanged by the affine bridge t = (u+1)/2 between the conventions.
 
 Weights come from the product-split construction: with T the monic node
 polynomial and T' the polynomial part of T times the moment series, the
-weight at node a is T'(a) / (dT/dt)(a).  For rational nodes everything is
-exact; for Decimal nodes the same computation runs in decimal arithmetic.
+weight at node a is T'(a) / (dT/dt)(a).  This runs in exact rational
+arithmetic for every rule: a Decimal node is the rational it denotes, so its
+weights are exact before they are rounded to the working precision and then
+to the rule's precision.
 
 Error coefficients k[m] (true m-th moment minus the rule's m-th moment) are
 always computed two ways, once directly from the definition and once by
@@ -109,29 +111,6 @@ class ErrorSeries:
         return None
 
 
-# -- decimal-coefficient polynomial helpers (ambient context) ------------
-
-
-def _hp_from_roots(roots: Sequence[Decimal]) -> list[Decimal]:
-    coeffs = [Decimal(1)]
-    for r in roots:
-        coeffs = [Decimal(0)] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= r * coeffs[i + 1]
-    return coeffs
-
-
-def _hp_eval(coeffs: Sequence[Decimal], x: Decimal) -> Decimal:
-    acc = Decimal(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _hp_derivative(coeffs: Sequence[Decimal]) -> list[Decimal]:
-    return [i * c for i, c in enumerate(coeffs) if i > 0]
-
-
 def _check_interval(nodes, convention: str) -> None:
     lo, hi = _INTERVALS[convention]
     for a in nodes:
@@ -148,9 +127,12 @@ def interpolatory_rule(
 ) -> QuadRule:
     """Build the unique interpolatory rule on the given distinct nodes.
 
-    Rational nodes (int or Fraction) produce exact weights and an exact node
-    polynomial; any Decimal node switches the whole computation to decimal
-    arithmetic at the given precision.
+    The weights are computed exactly on rational nodes.  Rational nodes (int
+    or Fraction) are used as given, and the rule keeps their exact weights and
+    node polynomial.  If any node is a Decimal, every node is first taken at
+    the working precision, then as the exact rational that Decimal denotes;
+    the rule then carries decimal nodes and weights only.  A NaN or an
+    infinite node raises ValueError.
     """
     if convention not in _INTERVALS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -159,27 +141,20 @@ def interpolatory_rule(
     prec = resolve_precision(prec)
     exact = all(isinstance(a, (int, Fraction)) for a in nodes)
     with localcontext(working_context(prec)):
-        pts = sorted(Fraction(a) if exact else _as_decimal(a) for a in nodes)
-        if any(a == b for a, b in zip(pts, pts[1:])):
+        given = [Fraction(a) if exact else _as_decimal(a) for a in nodes]
+        for a in given:
+            if not exact and not a.is_finite():
+                raise ValueError(f"node {a} is not a finite number")
+        given.sort()
+        if any(a == b for a, b in zip(given, given[1:])):
             raise ValueError("duplicate nodes")
-        _check_interval(pts, convention)
-        if exact:
-            node_poly = RatPoly.from_roots(pts)
-            tprime, _ = product_split(node_poly, _moments(convention, len(pts)), tail_len=0)
-            deriv = node_poly.derivative()
-            wts = [tprime.eval(a) / deriv.eval(a) for a in pts]
-        else:
-            node_poly = None
-            coeffs = _hp_from_roots(pts)
-            d = len(coeffs) - 1
-            mu = [_as_decimal(m) for m in _moments(convention, d).coeffs]
-            tprime = [
-                sum((coeffs[i] * mu[i - p - 1] for i in range(p + 1, d + 1)), Decimal(0))
-                for p in range(d)
-            ]
-            deriv = _hp_derivative(coeffs)
-            wts = [_hp_eval(tprime, a) / _hp_eval(deriv, a) for a in pts]
-        nodes_hp = tuple(round_to(_as_decimal(a), prec) for a in pts)
+        _check_interval(given, convention)
+        pts = [Fraction(a) for a in given]
+        node_poly = RatPoly.from_roots(pts)
+        tprime, _ = product_split(node_poly, _moments(convention, len(pts)), tail_len=0)
+        deriv = node_poly.derivative()
+        wts = [tprime.eval(a) / deriv.eval(a) for a in pts]
+        nodes_hp = tuple(round_to(_as_decimal(a), prec) for a in given)
         wts_hp = tuple(round_to(_as_decimal(w), prec) for w in wts)
     return QuadRule(
         convention=convention,
@@ -187,7 +162,7 @@ def interpolatory_rule(
         weights=wts_hp,
         nodes_exact=tuple(pts) if exact else None,
         weights_exact=tuple(wts) if exact else None,
-        nodepoly=node_poly,
+        nodepoly=node_poly if exact else None,
         degree=len(pts) - 1,
     )
 

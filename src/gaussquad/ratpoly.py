@@ -98,11 +98,18 @@ class RatPoly:
 
     @classmethod
     def from_roots(cls, roots: Sequence[Fraction | int]) -> "RatPoly":
-        """Monic polynomial with exactly the given roots (with multiplicity)."""
-        out = cls.one()
+        """Monic polynomial with exactly the given roots (with multiplicity).
+
+        For roots p/q it is the integer product of the factors q*x - p over
+        the product of the q, brought to primitive form once.
+        """
+        num, den = [1], 1
         for r in roots:
-            out = out * cls((-Fraction(r), 1))
-        return out
+            r = Fraction(r)
+            p, q = r.numerator, r.denominator
+            num = [a * q - b * p for a, b in zip([0] + num, num + [0])]
+            den *= q
+        return _make(num, den)
 
     # -- basic structure ----------------------------------------------
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from gaussquad.interprule import T01, U11
-from gaussquad.ratpoly import RatPoly
 
 
 def _ctx(prec: int) -> Context:
@@ -76,17 +75,20 @@ def legendre_nodes(m: int, prec: int) -> list[Decimal]:
 
 
 def lagrange_weights_exact(nodes: list[Fraction], convention: str = T01) -> list[Fraction]:
-    """Interpolatory weights by integrating each Lagrange basis polynomial."""
+    """Interpolatory weights by integrating each Lagrange basis polynomial.
+
+    The node polynomial is the ``frac_mul`` product of the factors x - a; the
+    basis at node a_j is its quotient by x - a_j, integrated term by term.
+    """
+    full = (Fraction(1),)
+    for a in nodes:
+        full = frac_mul(full, (-Fraction(a), Fraction(1)))
+    step = 1 if convention == T01 else 2  # odd powers integrate to 0 on [-1, 1]
     out = []
-    for j, aj in enumerate(nodes):
-        others = [a for i, a in enumerate(nodes) if i != j]
-        basis = RatPoly.from_roots(others)
-        denom = basis.eval(aj)
-        if convention == T01:
-            integral = basis.integral_01()
-        else:
-            integral = basis.integral_pm1() / 2
-        out.append(integral / denom)
+    for aj in nodes:
+        basis, _ = frac_divrem(full, (-Fraction(aj), Fraction(1)))
+        integral = sum((basis[k] / (k + 1) for k in range(0, len(basis), step)), Fraction(0))
+        out.append(integral / frac_eval(basis, aj))
     return out
 
 

@@ -1,6 +1,8 @@
 """Interpolatory and Newton-Cotes rules, error series, rule application."""
 
+import math
 import random
+import warnings
 from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -93,6 +95,39 @@ class TestInterpolatoryRule:
                     F(0),
                 )
                 assert rule_value == F(1, m + 1)
+
+
+class TestDecimalNodes:
+    # Nodes of at most 50 digits are taken as given, so the oracle's exact
+    # weights on the same rationals are the ones to round.
+    @pytest.mark.parametrize("family", ["equispaced", "chebyshev"])
+    @pytest.mark.parametrize("n", [16, 24, 40, 60])
+    def test_weights_within_half_ulp_of_exact(self, n, family):
+        with localcontext(Context(prec=50)):
+            if family == "equispaced":
+                nodes = [Decimal(i) / (n - 1) for i in range(n)]
+            else:
+                nodes = sorted(+Decimal(0.5 - 0.5 * math.cos(math.pi * (2 * k + 1) / (2 * n)))
+                               for k in range(n))
+        rule = interpolatory_rule(nodes, T01, 50)
+        assert rule.nodes == tuple(nodes)
+        assert rule.weights_exact is None and rule.nodepoly is None
+        exact = lagrange_weights_exact([F(a) for a in nodes], T01)
+        for w, x in zip(rule.weights, exact):
+            half_ulp = F(Decimal(5).scaleb(w.adjusted() - 50))
+            assert abs(F(w) - x) <= half_ulp, (w, x)
+
+    def test_tiny_node_gets_its_exact_zero_weight(self):
+        rule = interpolatory_rule([Decimal("1e-400"), Decimal("0.5")], T01)
+        assert rule.nodes == (Decimal("1e-400"), Decimal("0.5"))
+        assert rule.weights == (0, 1)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_node_refused(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"node {bad} is not a finite number"):
+                interpolatory_rule([Decimal(bad), Decimal("0.5")], T01)
 
 
 class TestNewtonCotes:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussquad.gausscf import legendre_pair, weight_polynomial
@@ -44,6 +44,17 @@ class TestConstruction:
     def test_three_roots(self):
         got = RatPoly.from_roots([0, F(1, 2), 1])
         assert got == poly(0, F(1, 2), F(-3, 2), 1)
+
+    # Ints, zero and negative roots, and a repeat of the first root.
+    @given(roots=st.lists(st.one_of(st.integers(min_value=-9, max_value=9), small_rationals),
+                          max_size=8).map(lambda rs: rs + rs[:1]))
+    @example(roots=[0, 0, -3, F(-1, 2), F(-1, 2), 5])
+    @settings(max_examples=100)
+    def test_from_roots_is_product_of_linear_factors(self, roots):
+        want = (F(1),)
+        for r in roots:
+            want = frac_mul(want, (-F(r), F(1)))
+        assert RatPoly.from_roots(roots).coeffs == want
 
     def test_trailing_zeros_stripped(self):
         assert poly(1, 2, 0, 0) == poly(1, 2)
