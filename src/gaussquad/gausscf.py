@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
@@ -199,8 +199,8 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     the iterates and derivatives that root isolation mirrored give weights
     symmetric bit for bit; a weight sum that misses 1 by more than
     10**-(prec-5) raises ArithmeticError.  The rule is built on [-1, 1] and
-    mapped affinely when the t-form is requested.  Tested up to n = 299 at
-    precision 50.
+    mapped affinely when the t-form is requested, each t-node rounded once
+    from the unrounded iterate.  Tested up to n = 299 at precision 50.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -238,7 +238,8 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     )
     if convention == U11:
         return rule
-    return to_convention(rule, convention, prec)
+    # Each t-node is rounded once from its unrounded iterate, as each u-node is.
+    return to_convention(replace(rule, nodes=found.iterates), convention, prec)
 
 
 def weight_polynomial(n: int) -> RatPoly:

@@ -12,8 +12,8 @@ Weights come from the product-split construction: with T the monic node
 polynomial and T' the polynomial part of T times the moment series, the
 weight at node a is T'(a) / (dT/dt)(a).  This runs in exact rational
 arithmetic for every rule: a Decimal node is the rational it denotes, so its
-weights are exact before they are rounded to the working precision and then
-to the rule's precision.
+weights are exact, and each node and weight is rounded once to the rule's
+precision.
 
 Error coefficients k[m] (true m-th moment minus the rule's m-th moment) are
 always computed two ways, once directly from the definition and once by
@@ -38,7 +38,7 @@ from .momseries import (
     moment_series_u,
     product_split,
 )
-from .numerics import _as_decimal, resolve_precision, round_to, working_context
+from .numerics import _as_decimal, resolve_precision, round_to, to_hp, working_context
 from .ratpoly import RatPoly
 
 T01 = "t01"
@@ -92,23 +92,15 @@ class QuadRule:
 
 
 @dataclass(frozen=True)
-class ErrorSeries:
+class ErrorSeries(SeriesTail):
     """Error coefficients k[m] for the monomials x**m of the rule's variable."""
 
-    k: tuple[Fraction, ...]
     convention: str
 
-    def __len__(self) -> int:
-        return len(self.k)
-
-    def __getitem__(self, m: int) -> Fraction:
-        return self.k[m]
-
-    def first_nonzero(self) -> int | None:
-        for m, c in enumerate(self.k):
-            if c != 0:
-                return m
-        return None
+    @property
+    def k(self) -> tuple[Fraction, ...]:
+        """The coefficients: k[m] is the rule's error on x**m."""
+        return self.coeffs
 
 
 def _check_interval(nodes, convention: str) -> None:
@@ -154,8 +146,8 @@ def interpolatory_rule(
         tprime, _ = product_split(node_poly, _moments(convention, len(pts)), tail_len=0)
         deriv = node_poly.derivative()
         wts = [tprime.eval(a) / deriv.eval(a) for a in pts]
-        nodes_hp = tuple(round_to(_as_decimal(a), prec) for a in given)
-        wts_hp = tuple(round_to(_as_decimal(w), prec) for w in wts)
+    nodes_hp = tuple(to_hp(a, prec) for a in given)
+    wts_hp = tuple(to_hp(w, prec) for w in wts)
     return QuadRule(
         convention=convention,
         nodes=nodes_hp,
@@ -211,7 +203,7 @@ def error_coefficients(rule: QuadRule, count: int, prec: int | None = None) -> E
                 raise ArithmeticError(
                     f"error coefficient mismatch at m={m}: direct {direct}, series {theta[m]}"
                 )
-    return ErrorSeries(k=tuple(theta.coeffs), convention=rule.convention)
+    return ErrorSeries(theta.coeffs, rule.convention)
 
 
 def _node_values(rule: QuadRule, f: Callable[[Decimal], Decimal], g, delta):
@@ -219,6 +211,9 @@ def _node_values(rule: QuadRule, f: Callable[[Decimal], Decimal], g, delta):
     # [g, g+delta]: x = g + delta*a for T01, x = g + delta*(u+1)/2 for U11.
     gd = _as_decimal(g)
     dd = _as_decimal(delta)
+    for name, value in (("g", gd), ("delta", dd)):
+        if not value.is_finite():
+            raise ValueError(f"{name} {value} is not a finite number")
     if dd == 0:
         raise ValueError("delta must be nonzero")
     for j, (a, w) in enumerate(zip(rule.nodes, rule.weights)):
@@ -278,8 +273,11 @@ def to_convention(rule: QuadRule, convention: str, prec: int | None = None) -> Q
         to_new, scale, shift = (lambda b: (b + 1) / 2), 2, -1
     else:
         to_new, scale, shift = (lambda a: 2 * a - 1), Fraction(1, 2), Fraction(1, 2)
+    # A node is mapped from its exact value when the rule has one, else at
+    # the working precision, and rounded once: mapping a rounded u-node to
+    # t = (u+1)/2 cancels near t = 0.
     with localcontext(working_context(prec)):
-        nodes_hp = tuple(round_to(to_new(x), prec) for x in rule.nodes)
+        nodes_hp = tuple(to_hp(to_new(x), prec) for x in rule.nodes_exact or rule.nodes)
     return replace(
         rule,
         convention=convention,

@@ -76,30 +76,19 @@ def product_split(
     raised.  When ``tail_len`` is omitted, every tail coefficient the input
     supports is produced.
     """
-    d = node_poly.degree  # -1 for the zero polynomial
-    avail = len(moments)
-    if d < 0:
-        L = avail if tail_len is None else tail_len
-        if L > avail:
-            raise ValueError(
-                f"moment series too short: need {L} coefficients, have {avail}"
-            )
-        return RatPoly.zero(), SeriesTail((Fraction(0),) * L)
-    if tail_len is None:
-        L = avail - d
-        if L < 0:
-            raise ValueError(
-                f"moment series too short: need at least {d} coefficients, have {avail}"
-            )
-    else:
-        L = tail_len
-        if d + L > avail:
-            raise ValueError(
-                f"moment series too short: need {d + L} coefficients, have {avail}"
-            )
+    d = node_poly.degree  # -1 for the zero polynomial, whose tail is all zeros
+    room = len(moments) - max(d, 0)  # tail coefficients the moments support
+    L = room if tail_len is None else tail_len
+    if not 0 <= L <= room:
+        raise ValueError(
+            f"tail length {L} not in 0..{room}" if L < 0 <= room else
+            f"moment series too short: need {max(d, 0) + max(L, 0)} coefficients, "
+            f"have {len(moments)}"
+        )
     # Integer kernel: with c[i] = a[i]/den and mu[j] = M[j]/big over the
     # least common denominator big, every output is one integer dot product
-    # over den*big, reduced once.
+    # over den*big, reduced once.  The zero polynomial has no numerators a,
+    # so every dot product is empty and the length of mu does not matter.
     a, den = node_poly.numerators
     mu = moments.coeffs[:d + L]
     big = lcm(*(m.denominator for m in mu))
@@ -148,21 +137,20 @@ def divide_tail_by_poly(tail: SeriesTail, den: RatPoly, out_len: int) -> SeriesT
 
 
 def rational_function_tail(num: RatPoly, den: RatPoly, count: int) -> SeriesTail:
-    """Descending expansion of num/den at infinity, requiring deg num < deg den."""
+    """Descending expansion of num/den at infinity, requiring deg num < deg den.
+
+    num/den is x**D times the tail num(x) * x**-D over den, D = deg den; that
+    tail has num[D-1-q] at x**-(q+1) and exact zeros beyond, so one division
+    by den to count + D terms, less its first D, gives the expansion.
+    """
     if den.is_zero:
         raise ZeroDivisionError("expansion of a quotient with zero denominator")
-    if num.is_zero:
-        return SeriesTail((Fraction(0),) * count)
-    D, d = den.degree, num.degree
-    if d >= D:
+    D = den.degree
+    if num.degree >= D:
         raise ValueError("numerator degree must be below denominator degree")
-    shift = D - d - 1  # coefficient of x**-(q+1) vanishes for q < shift
-    if count <= shift:
-        return SeriesTail((Fraction(0),) * count)
-    rev_num = tuple(reversed(num.coeffs))
-    rev_den = tuple(reversed(den.coeffs))
-    quot = _power_series_div(rev_num, rev_den, count - shift)
-    return SeriesTail((Fraction(0),) * shift + tuple(quot))
+    zero = (Fraction(0),)
+    tail = zero * (D - 1 - num.degree) + tuple(reversed(num.coeffs)) + zero * count
+    return SeriesTail(divide_tail_by_poly(SeriesTail(tail), den, count + D).coeffs[D:])
 
 
 def cauchy_expansion_of_rule(rule, count: int) -> SeriesTail:

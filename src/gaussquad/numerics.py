@@ -6,10 +6,11 @@ Two scalar kinds are used throughout the package:
   canonical form (positive denominator, reduced).  All symbolic polynomial
   and series work stays in this type end to end.
 * ``HPScalar`` (= :class:`decimal.Decimal`): floating values carrying a
-  configurable number of significant decimal digits.  Every public function
-  here computes with :data:`GUARD_DIGITS` extra digits and rounds the result
-  back to the requested precision, so results are correctly rounded at the
-  precision the caller asked for.
+  configurable number of significant decimal digits.  ``to_hp`` rounds its
+  input once; every other public function here computes with
+  :data:`GUARD_DIGITS` extra digits and rounds the result back to the
+  requested precision, so results are correctly rounded at the precision
+  the caller asked for.
 
 The default precision is 50 significant digits; anything below 40 is
 rejected because downstream root polishing assumes that much headroom, and
@@ -89,11 +90,11 @@ def to_hp(value, prec: int | None = None) -> Decimal:
     raises ValueError: it has no digits to round.
     """
     prec = resolve_precision(prec)
-    with localcontext(working_context(prec)):
+    with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN)):
         out = _as_decimal(value)
     if not out.is_finite():
         raise ValueError(f"to_hp requires a finite value, got {value}")
-    return round_to(out, prec)
+    return out
 
 
 def _atanh_series(z: Decimal) -> Decimal:

@@ -278,6 +278,16 @@ def frac_product_split(c, mu, tail_len: int) -> tuple[tuple[Fraction, ...], tupl
     return frac_poly(poly), tuple(tail)
 
 
+def frac_series_quotient(num, den, count: int) -> tuple[Fraction, ...]:
+    """First count coefficients of num/den at x**-1, x**-2, ..., for
+    deg num < deg den: the quotient of num * x**count by den, read backwards."""
+    num, den = frac_poly(num), frac_poly(den)
+    if len(num) >= len(den):
+        raise ValueError("numerator degree must be below denominator degree")
+    quot, _ = frac_divrem((Fraction(0),) * count + num, den)
+    return tuple(reversed(quot + (Fraction(0),) * (count - len(quot))))
+
+
 def frac_ext_gcd(a, b):
     """Extended Euclid with monic remainders: (g, s, t) with s*a + t*b = g."""
     r0, s0, t0 = a, (Fraction(1),), ()

@@ -307,6 +307,13 @@ class TestApplyRule:
             err = abs(a - b)
         assert err < Decimal("1e-42")
 
+    @pytest.mark.parametrize("apply", [apply_rule, node_terms])
+    @pytest.mark.parametrize("limit", ["g", "delta"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_limit_refused(self, apply, limit, bad):
+        with pytest.raises(ValueError, match=f"{limit} .* not a finite number"):
+            apply(newton_cotes(2), lambda x: x, **{limit: Decimal(bad)})
+
     def test_node_terms_sum_to_total(self):
         from gaussquad.gausscf import gauss_rule
 
@@ -334,6 +341,27 @@ class TestConventionMap:
         assert back.nodes_exact == rule.nodes_exact
         assert back.nodepoly == rule.nodepoly
         assert back.weights_exact == rule.weights_exact
+
+    def test_exact_nodes_rounded_once(self):
+        # u = 2t - 1 of the rounded t = 5/11 cancelled and missed -1/11 by
+        # 9.09 ulps.
+        ctx = Context(prec=50)
+        for n in range(1, 21):
+            got = to_convention(newton_cotes(n), U11, 50).nodes
+            assert got == tuple(ctx.divide(2 * i - n, n) for i in range(n + 1))
+        # t = (1+u)/2 from rounded u-nodes missed at three of these six.
+        nodes = [F(-4, 5), F(-2, 3), F(-1, 2), F(-1, 3), F(-4, 13), F(1, 4)]
+        got = to_convention(interpolatory_rule(nodes, U11), T01, 50).nodes
+        exact = [(1 + a) / 2 for a in nodes]
+        assert got == tuple(ctx.divide(t.numerator, t.denominator) for t in exact)
+
+    def test_exact_node_rounded_by_one_division(self):
+        # t lies just below a half-ulp tie at 40 digits.  Rounded first to
+        # the working precision it lands on the tie, which half-even rounding
+        # then carries up to ...2.
+        t = F(int("1" * 40 + "5"), 10 ** 41) - F(1, 3 * 10 ** 52)
+        rule = interpolatory_rule([2 * t - 1, F(-1, 2)], U11)
+        assert to_convention(rule, T01, 40).nodes[0] == Decimal("0." + "1" * 40)
 
     def test_same_convention_is_identity(self):
         rule = newton_cotes(2)

@@ -20,7 +20,7 @@ from gaussquad.momseries import (
     rational_function_tail,
 )
 from gaussquad.ratpoly import RatPoly
-from oracles import frac_product_split
+from oracles import frac_product_split, frac_series_quotient
 
 F = Fraction
 
@@ -78,6 +78,11 @@ class TestProductSplit:
         assert tprime.is_zero
         assert tail.coeffs == sigma.coeffs
 
+    def test_zero_polynomial_takes_every_moment(self):
+        poly, tail = product_split(RatPoly.zero(), moment_series_t(5))
+        assert poly.is_zero
+        assert tail.coeffs == (0,) * 5
+
     def test_two_point_symmetric_split(self):
         U = RatPoly((F(-1, 3), 0, 1))
         uprime, tail = product_split(U, moment_series_u(7))
@@ -98,6 +103,11 @@ class TestProductSplit:
         T = RatPoly.from_roots([0, F(1, 2), 1])
         with pytest.raises(ValueError, match="too short"):
             product_split(T, moment_series_t(4), tail_len=5)
+
+    def test_negative_tail_length(self):
+        T = RatPoly.from_roots([0, 1])
+        with pytest.raises(ValueError, match="tail length -1 not in 0..3"):
+            product_split(T, moment_series_t(5), tail_len=-1)
 
     def test_monic_leading_coefficient(self):
         T = RatPoly.from_roots([F(1, 4), F(3, 4)])
@@ -161,6 +171,43 @@ class TestSeriesDivision:
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
             rational_function_tail(RatPoly((0, 0, 1)), RatPoly.identity(), 4)
+
+    def test_zero_denominator_outranks_degree(self):
+        with pytest.raises(ZeroDivisionError):
+            rational_function_tail(RatPoly((0, 0, 1)), RatPoly.zero(), 4)
+
+    def test_zero_numerator(self):
+        got = rational_function_tail(RatPoly.zero(), RatPoly((1, 2, 3)), 4)
+        assert got.coeffs == (0,) * 4
+
+    def test_count_within_leading_zeros(self):
+        # 1/(x**3 - 2) starts at x**-3, so its first two coefficients are zero.
+        got = rational_function_tail(RatPoly.one(), RatPoly((-2, 0, 0, 1)), 2)
+        assert got.coeffs == (0, 0)
+
+    @given(
+        den=st.lists(small_rationals, min_size=1, max_size=7).filter(lambda c: c[-1] != 0),
+        num=st.lists(small_rationals, max_size=7),
+        count=st.integers(0, 12),
+    )
+    @settings(max_examples=200)
+    def test_rational_function_tail_matches_long_division(self, den, num, count):
+        num = num[:len(den) - 1]
+        want = frac_series_quotient(num, den, count)
+        assert rational_function_tail(RatPoly(num), RatPoly(den), count).coeffs == want
+
+    @given(
+        den=st.lists(small_rationals, min_size=1, max_size=7).filter(lambda c: c[-1] != 0),
+        tail=st.lists(small_rationals, max_size=12),
+        out_len=st.integers(0, 12),
+    )
+    @settings(max_examples=200)
+    def test_divide_tail_matches_long_division(self, den, tail, out_len):
+        # A finite tail of L terms is p(x)/x**L with p its reversed coefficients.
+        tail = tail + [F(0)] * (out_len - len(den) + 1 - len(tail))
+        L = len(tail)
+        want = frac_series_quotient(tail[::-1], [0] * L + den, out_len)
+        assert divide_tail_by_poly(SeriesTail(tuple(tail)), RatPoly(den), out_len).coeffs == want
 
     def test_geometric_series(self):
         # 1/(t - 1/2) = t^-1 + (1/2) t^-2 + (1/4) t^-3 + ...

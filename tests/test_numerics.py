@@ -110,6 +110,15 @@ class TestConversion:
     def test_int_exact(self):
         assert to_hp(7) == 7
 
+    @pytest.mark.parametrize("value", [
+        Fraction(int("1" * 40 + "5"), 10 ** 41) - Fraction(1, 3 * 10 ** 52),
+        "0." + "1" * 40 + "4" + "9" * 10 + "7",
+    ])
+    def test_rounded_once(self, value):
+        # Just below a half-ulp tie at 40 digits: a first rounding to 50
+        # digits lands on the tie, and a second carries it up to ...2.
+        assert to_hp(value, 40) == Decimal("0." + "1" * 40)
+
     def test_precision_floor(self):
         with pytest.raises(ValueError):
             resolve_precision(39)
