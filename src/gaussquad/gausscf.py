@@ -14,16 +14,16 @@ itself, with the v(k) rounded once per precision: unlike Horner's scheme
 on the expanded coefficients of W, which cancel near u = +-1, the
 recurrence keeps its relative accuracy across (-1, 1) at every order.
 The roots are bracketed by Bruns' separators cos^2(k pi/(m + 1/2)) in
-q = u^2, which root isolation certifies by exact sign changes before using
-them, raising RootIsolationError if any check fails.  Newton starts from
-Tricomi's asymptotic guesses, refined by Newton in floats on the same
-recurrence, and climbs a ladder of decimal precisions, so that each node
-costs about one Newton step and one gate evaluation at the working
-precision; floats propose separators and starts, so a poor start costs
-iterations but never digits, and a poor separator cannot yield a root.
-Each weight comes from W' at the unrounded final iterate, by the
+q = u^2, each proven by its position against bounds on the zeros, with no
+evaluation of W; one outside its interval raises RootIsolationError.
+Newton starts from Tricomi's asymptotic guesses, refined by Newton in
+floats on the same recurrence, and climbs a ladder of decimal precisions,
+so that each node costs about one Newton step and one gate evaluation at
+the working precision; floats propose separators and starts, so a poor
+start costs iterations but never digits, and a poor separator cannot yield
+a root.  Each weight comes from W' at the unrounded final iterate, by the
 Christoffel-Darboux form of V/W', with no V recurrence.  Root isolation
-holds the one parity split and the one mirror of the roots.
+holds the one mirror of the roots.
 
 The small linear-system construction (choose the node polynomial so that
 the first coefficients of the split tail vanish) is also provided; it is
@@ -35,13 +35,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from decimal import Decimal, getcontext, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 from .interprule import T01, U11, QuadRule, _moments, to_convention
 from .numerics import _as_decimal, resolve_precision, round_to, working_context
 from .ratpoly import RatPoly, mod_inverse_eval
-from .rootfind import _parity_split, real_roots_symmetric
+from .rootfind import RootIsolationError, real_roots_symmetric
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,68 @@ def _decimal_evaluator(m: int):
     return evaluate
 
 
-def _bruns_separators(m: int) -> list[Fraction]:
-    # cos^2(j pi/(m + 1/2)) in q = u^2 for j = m//2, ..., 0, rising.  Bruns'
-    # inequality (Szego, Orthogonal Polynomials, 6.21) puts the j-th largest
-    # zero of P_m at an angle between (j - 1/2) pi/(m + 1/2) and
-    # j pi/(m + 1/2), so one root of Q lies between each consecutive pair.
-    # Floats only propose the points; real_roots_symmetric certifies them.
-    # Measured against tests/oracles.legendre_nodes for m = 1..600, every
-    # root of Q lies at least 0.95/m^2 from every separator in q (the
-    # tightest gap is next to q = 0, about 1.85/m^2 for large m).  Rounding
-    # to the nearest multiple of 2^-32 moves a point by at most 2^-33, which
-    # that margin covers up to m of several 10^4 by extrapolation, and the
-    # power-of-two denominators keep the exact checks cheap.
-    return [Fraction(round(math.cos(j * math.pi / (m + 0.5)) ** 2 * 2 ** 32), 2 ** 32)
-            for j in range(m // 2, -1, -1)]
+def _bruns_separators(m: int) -> list[float]:
+    # cos^2(j pi/(m + 1/2)) in q = u^2 for j = m//2, ..., 0, rising: the
+    # float nearest each, which _bruns_brackets proves by its position.
+    # Let theta_1 < theta_2 < ... be the zeros of P_m(cos theta) in
+    # (0, pi/2].  Bruns' inequality, the case lambda = 1/2 of Theorem 6.21.3
+    # in Szego, Orthogonal Polynomials (4th ed., 1975), puts theta_j above
+    # (j - 1/2) pi/(m + 1/2).  Theorem 6.21.1 there, with the Jacobi
+    # parameters alpha = beta rising from 0 (Legendre) to 1/2 (Chebyshev U,
+    # zeros j pi/(m + 1)), puts it below j pi/(m + 1).  So the interval
+    # [j pi/(m + 1), (j + 1/2) pi/(m + 1/2)] lies strictly between theta_j
+    # and theta_(j+1) for j = 1, ..., m//2, and separator j lies inside it
+    # with room: in q, about pi^2/m^3 below the top (at least 1.23/m^3, and
+    # 9.9e-12 at m = 10,000) and at least 0.38/m^2 above the bottom.  The
+    # float's error, below about 1e-15, fits in that room up to m of about
+    # 10^5, where multiples of 2^-32, up to 1.2e-10 away, would not.
+    return [math.cos(j * math.pi / (m + 0.5)) ** 2 for j in range(m // 2, -1, -1)]
+
+
+# pi to 40 digits, within 1e-39; the digits, series cut-off and error bound
+# of _cos2_pi.
+_PI = Decimal("3.141592653589793238462643383279502884197")
+_COS2_DIGITS, _COS2_TAIL, _COS2_ERROR = 24, Decimal("1e-24"), Decimal("1e-20")
+
+
+def _cos2_pi(a: int, b: int) -> Decimal:
+    # cos^2(pi a/b) for 0 <= a/b <= 1/2 under a 24-digit context, by the
+    # Taylor series of cos at t = pi a/b.  Each rounding errs by at most
+    # u = 5e-24 relative: t by 2u, t^2 by 5u, the k-th term by 7ku, 13u in
+    # all as the exact terms sum with weight k to (t/2) sinh t < 1.9, and the
+    # at most 15 additions by 2.6u each, as cosh(pi/2) < 2.6.  The tail,
+    # alternating and falling, is below its first term and _COS2_TAIL.  So
+    # cos errs by less than 2.7e-22 and its square by less than 6e-22, well
+    # inside _COS2_ERROR even after the rounding of adding that to a bound.
+    t2 = -(_PI * a / b) ** 2
+    term = total = Decimal(1)
+    k = 0
+    while abs(term) > _COS2_TAIL:
+        k += 2
+        term = term * t2 / (k * (k - 1))
+        total += term
+    return total * total
+
+
+def _bruns_brackets(m: int, separators: list[float]) -> list[tuple[float, float, int]]:
+    # Brackets (lo, hi, sign of Q at lo) between consecutive separators in q,
+    # where W_m(u) = u^s Q(u^2), once each separator j >= 1 is proven inside
+    # its interval of _bruns_separators, with the ends in q, cos^2, to within
+    # _COS2_ERROR, or else RootIsolationError.  For even m the innermost
+    # needs only q > 0, as its theta_(j+1) is past pi/2; separator 0 is q = 1.
+    # Separator j has the j roots cos^2(theta_1), ..., cos^2(theta_j) of the
+    # monic Q above it, so Q has the sign (-1)^j there, with no evaluation.
+    if len(separators) != m // 2 + 1 or separators[-1] != 1:
+        raise RootIsolationError(f"need {m // 2 + 1} separators ending at q = 1")
+    brackets = []
+    with localcontext(Context(prec=_COS2_DIGITS)):
+        for j, q, above in zip(range(m // 2, 0, -1), separators, separators[1:]):
+            bottom = 0 if 2 * j == m else _cos2_pi(2 * j + 1, 2 * m + 1) + _COS2_ERROR
+            if not bottom < q <= _cos2_pi(j, m + 1) - _COS2_ERROR:
+                raise RootIsolationError(f"separator {j} of order {m}, q = {q!r}, is not "
+                                         f"proven to lie between zeros {j} and {j + 1}")
+            brackets.append((q, above, -1 if j % 2 else 1))
+    return brackets
 
 
 # Newton steps in floats that refine each of Tricomi's guesses; two reach
@@ -153,7 +201,7 @@ def _bruns_separators(m: int) -> list[Fraction]:
 _FLOAT_STEPS = 3
 
 
-def _float_starts(m: int, separators: list[Fraction]) -> list[Decimal]:
+def _float_starts(m: int, separators: list[float]) -> list[Decimal]:
     # Newton starts for the positive zeros of P_m in increasing order:
     # Tricomi's asymptotic guess (1 - 1/(8m^2) + 1/(8m^3)) cos(pi (4k-1)/(4m+2))
     # for the k-th largest zero, clipped into the float image of its
@@ -184,11 +232,12 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     """The (n+1)-point rule of degree 2n+1.
 
     Nodes are the roots of the degree n+1 convergent denominator W, found to
-    the requested precision.  Bruns' separators bracket the roots once exact
-    sign checks certify them, and Newton starts from Tricomi's asymptotic
-    guesses refined by Newton in floats; both come from floats, which may
-    cost time but never digits.  Decimal Newton then climbs a precision
-    ladder to the working precision, evaluating W and W' at decimal points
+    the requested precision.  Bruns' separators bracket the roots once
+    their positions are proven against bounds on the zeros, and Newton
+    starts from Tricomi's asymptotic guesses refined by Newton in floats;
+    both come from floats, which may cost time but never digits.  Decimal
+    Newton then climbs a precision ladder to the working precision,
+    evaluating W and W' at decimal points
     by the continued-fraction recurrence itself, which stays accurate near
     +-1 where Horner's scheme on the monomial coefficients cancels.  The
     weight at a node comes from the final, unrounded Newton iterate x and
@@ -200,7 +249,7 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     symmetric bit for bit; a weight sum that misses 1 by more than
     10**-(prec-5) raises ArithmeticError.  The rule is built on [-1, 1] and
     mapped affinely when the t-form is requested, each t-node rounded once
-    from the unrounded iterate.  Tested up to n = 299 at precision 50.
+    from the unrounded iterate.  Tested up to n = 999 at precision 50.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -208,10 +257,11 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     m = n + 1
     pair = legendre_pair(m)
     separators = _bruns_separators(m)
+    brackets = _bruns_brackets(m, separators)
     with localcontext(working_context(prec)):
         found = real_roots_symmetric(
-            pair.denominator, prec, _decimal_evaluator(m),
-            separators=separators, starts=_float_starts(m, separators),
+            m % 2, prec, _decimal_evaluator(m),
+            brackets=brackets, starts=_float_starts(m, separators),
         )
         # a_m^2 = (C(2m, m)/2^m)^2, rounded once.
         lead2 = _as_decimal(Fraction(math.comb(2 * m, m) ** 2, 4 ** m))
@@ -242,6 +292,12 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     return to_convention(replace(rule, nodes=found.iterates), convention, prec)
 
 
+def _in_q(poly: RatPoly) -> RatPoly:
+    # Q with poly(u) = u**s * Q(u**2), for poly of definite parity s.
+    num, den = poly.numerators
+    return RatPoly.from_numerators(num[poly.degree % 2::2], den)
+
+
 def weight_polynomial(n: int) -> RatPoly:
     """Exact polynomial of degree <= n whose value at each node is its weight.
 
@@ -260,9 +316,9 @@ def weight_polynomial(n: int) -> RatPoly:
     pair = legendre_pair(n + 1)
     s = (n + 1) % 2
     w, den = pair.denominator.numerators
-    modulus = _parity_split(RatPoly.from_numerators((0,) * s + w, den))[1]
-    r, den = mod_inverse_eval(_parity_split(pair.numerator)[1],
-                              _parity_split(pair.denominator.derivative())[1], modulus).numerators
+    modulus = _in_q(RatPoly.from_numerators((0,) * s + w, den))
+    r, den = mod_inverse_eval(_in_q(pair.numerator), _in_q(pair.denominator.derivative()),
+                              modulus).numerators
     spread = [0] * (2 * len(r) - 1)
     spread[::2] = r
     return RatPoly.from_numerators(spread, den)

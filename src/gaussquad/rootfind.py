@@ -1,44 +1,34 @@
 """High-precision real roots of even/odd node polynomials on (-1, 1).
 
 The polynomials handled here have a definite parity, all roots real and
-simple inside (-1, 1), and at most one root at the origin.  Parity is
-exploited: W(u) = u**s * Q(u**2) with s in {0, 1}, and the roots of Q are
-bracketed in (0, 1) by exact sign changes of Q at rational points, so
-isolation can never be fooled by rounding.  The caller, who knows where the
-roots lie (for Legendre polynomials, Bruns' separators), passes the points,
-and they are certified exactly: Q must be nonzero at each, change sign
-across every consecutive pair, and the pairs must number deg Q, which puts
-exactly one root in each.  Points that fail any check raise; no root ever
-comes from an uncertified bracket.  Each bracket is polished in decimal
-arithmetic by safeguarded Newton from a caller-supplied start, with the
-caller's evaluation of (W, W'): each evaluation narrows the bracket, and a
-step that would leave it is replaced by one bisection step, after which
-Newton resumes.  Newton climbs a precision ladder: it iterates on the
-lowest rung, at 24 digits or more, until its step is below half of them,
-then takes one step per rung, each rung about twice the one below, up to
-the working precision, where it iterates until the step is negligible;
-that last evaluation serves the gate below.  Negative
-roots come from mirroring, and a root at the origin is exact.  That mirror
-and the split into u**s Q(u**2) are the only uses of parity.
+simple inside (-1, 1), and at most one root at the origin: W(u) =
+u**s * Q(u**2) with s in {0, 1}.  The caller passes one bracket per root of
+Q in q = u**2, with the sign of Q at its lower end, and proves them: for
+Legendre polynomials, gausscf proves Bruns' separators by their position.
+Each bracket is polished in decimal arithmetic by safeguarded Newton from a
+caller-supplied start, with the caller's evaluation of (W, W'): each
+evaluation narrows the bracket, and a step that would leave it is replaced
+by one bisection step, after which Newton resumes.  Newton climbs a
+precision ladder: it iterates on the lowest rung, at 24 digits or more,
+until its step is below half of them, then takes one step per rung, each
+about twice the one below, up to the working precision, where it iterates
+until the step is negligible; that last evaluation serves the gate below.
+Negative roots come from mirroring, the one use of parity, and a root at
+the origin is exact.
 
-Floats may propose points and starts, but never decide a result: exact
-signs certify every bracket and the residual gate below every root.
-Violations of the expected root structure are detected and reported as
-:class:`RootIsolationError`; the module never silently returns a wrong
-root count, nor a root r rounded from the final iterate x unless
-|W(x)/W'(x)| + |r - x|, a bound on the distance from r to the root
-up to second order, is within the promised 10**-(prec-5).
+Floats may propose starts, but never decide a result.  The module never
+returns a root r rounded from the final iterate x unless |W(x)/W'(x)| +
+|r - x|, a bound on the distance from r to the root up to second order, is
+within the promised 10**-(prec-5); it raises :class:`RootIsolationError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .numerics import MAX_PRECISION, _as_decimal, resolve_precision, round_to, working_context
-from .ratpoly import RatPoly
+from .numerics import MAX_PRECISION, resolve_precision, round_to, working_context
 
 # Bisection alone needs log2(10) < 3.4 steps per digit.
 _MAX_STEPS = 4 * MAX_PRECISION
@@ -71,36 +61,6 @@ class RootSet:
     residual_bound: Decimal
     iterates: tuple[Decimal, ...]
     derivatives: tuple[Decimal, ...]
-
-
-def _parity_split(poly: RatPoly) -> tuple[int, RatPoly]:
-    # (s, Q) with poly(u) = u**s * Q(u**2) and s the parity of the degree;
-    # raises if a coefficient of the other parity is nonzero.
-    num, den = poly.numerators
-    s = poly.degree % 2
-    if any(num[1 - s::2]):
-        raise ValueError("polynomial does not have a definite parity")
-    return s, RatPoly.from_numerators(num[s::2], den)
-
-
-def _separator_brackets(q: RatPoly, separators: Sequence[Fraction]
-                        ) -> list[tuple[Fraction, Fraction, int]] | None:
-    # Brackets (lo, hi, sign of q at lo) between consecutive separators, or
-    # None unless the points rise strictly in [0, 1], number deg q + 1, and
-    # q is nonzero at each and changes sign across every pair: deg q sign
-    # changes on deg q disjoint intervals leave exactly one root in each.
-    points = [Fraction(x) for x in separators]
-    if (len(points) != q.degree + 1 or not 0 <= points[0] or not points[-1] <= 1
-            or any(a >= b for a, b in zip(points, points[1:]))):
-        return None
-    signs: list[int] = []
-    for x in points:
-        value = q.eval(x)
-        sign = (value > 0) - (value < 0)
-        if sign == 0 or (signs and sign == signs[-1]):
-            return None
-        signs.append(sign)
-    return list(zip(points, points[1:], signs))
 
 
 def _ladder(top: int) -> list[int]:
@@ -172,51 +132,34 @@ def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal, sign_lo: int,
     return (x, *evaluate(x))
 
 
-def real_roots_symmetric(poly: RatPoly, prec: int | None, evaluate: Evaluator, *,
-                         separators: Sequence[Fraction],
+def real_roots_symmetric(parity: int, prec: int | None, evaluate: Evaluator, *,
+                         brackets: Sequence[tuple[float, float, int]],
                          starts: Sequence[Decimal]) -> RootSet:
-    """All real roots of a definite-parity polynomial with roots in (-1, 1).
+    """All real roots of W(u) = u**parity * Q(u**2), one root of Q per bracket.
 
-    The returned roots are strictly increasing and symmetric about the
-    origin.  Each is rounded from a final Newton iterate x evaluated at the
-    working precision, and |poly(x)/poly'(x)| + |r - x| <= 10**-(prec-5)
-    holds for every root r; a root that misses this bound raises
-    RootIsolationError.  ``evaluate(x)`` returns (poly(x), poly'(x)) under
-    the ambient decimal context, which Newton sets to each rung of its
-    precision ladder in turn; it must keep its relative accuracy near the
-    roots, which Horner's scheme on the monomial coefficients does not at
-    large degree.  The result's ``iterates`` are those x and its
-    ``derivatives`` the evaluator's poly'(x), both mirrored by parity for
-    the negative roots.
-
-    ``separators``, rationals rising in [0, 1] in q = u**2, one more than
-    there are positive roots, bracket one root between each consecutive
-    pair once exact signs certify them (see the module docstring); points
-    that fail certification raise RootIsolationError.  ``starts``, one per
-    positive root in increasing order, start Newton in their brackets.
-    Identical input and precision give bit-identical output.
+    ``brackets`` are triples (lo, hi, sign of Q at lo) in q = u**2, rising in
+    [0, 1], with ends that Decimal takes exactly; the caller proves that each
+    holds exactly one root of Q.  ``starts``, one per bracket, start Newton
+    in the u-image of their bracket.  ``evaluate(x)`` returns (W(x), W'(x))
+    under the ambient context, which Newton sets to each rung of its ladder;
+    it must keep its relative accuracy near the roots, which Horner's scheme
+    on the monomial coefficients does not at large degree.  The roots rise
+    strictly and are symmetric about the origin; each is rounded from a
+    final iterate x with |W(x)/W'(x)| + |r - x| <= 10**-(prec-5), or
+    RootIsolationError is raised.  ``iterates`` and ``derivatives`` hold
+    those x and W'(x), mirrored for the negative roots.  Identical input
+    and precision give bit-identical output.
     """
     prec = resolve_precision(prec)
-    if poly.is_zero or poly.degree < 1:
-        raise ValueError("need a nonconstant polynomial")
-    if poly.leading != 1:
-        raise ValueError("polynomial must be monic")
-    s, q = _parity_split(poly)
-    if len(starts) != q.degree:
-        raise ValueError(f"need {q.degree} starts, one per positive root, got {len(starts)}")
-    brackets = _separator_brackets(q, separators)
-    if brackets is None:
-        raise RootIsolationError(
-            f"separators do not certify {q.degree} roots of Q in (0, 1), "
-            f"where poly(u) = u**{s} Q(u**2), by exact sign changes"
-        )
+    if len(starts) != len(brackets):
+        raise ValueError(f"need {len(brackets)} starts, one per bracket, got {len(starts)}")
     tol = Decimal(1).scaleb(-(prec - 5))
     positives: list[tuple[Decimal, Decimal, Decimal]] = []
     residual = Decimal(0)
     with localcontext(working_context(prec)):
         for (qlo, qhi, sign_lo), start in zip(brackets, starts):
             # Sign of W on (0,1) matches the sign of Q at the q-bracket ends.
-            x, fx, dfx = _polish(evaluate, _as_decimal(qlo).sqrt(), _as_decimal(qhi).sqrt(),
+            x, fx, dfx = _polish(evaluate, Decimal(qlo).sqrt(), Decimal(qhi).sqrt(),
                                  sign_lo, tol, start)
             if dfx == 0:
                 raise RootIsolationError("derivative vanished at a computed root",
@@ -235,8 +178,8 @@ def real_roots_symmetric(poly: RatPoly, prec: int | None, evaluate: Evaluator, *
                 f"root {positives[-1][0]} is not inside the open interval (-1, 1)"
             )
         # W' has the parity opposite to W's: W'(-x) = -W'(x) when W is even.
-        triples = [(-r, -x, d if s else -d) for r, x, d in reversed(positives)]
-        if s == 1:
+        triples = [(-r, -x, d if parity else -d) for r, x, d in reversed(positives)]
+        if parity == 1:
             triples.append((Decimal(0), Decimal(0), evaluate(Decimal(0))[1]))
         triples.extend(positives)
     roots, iterates, derivatives = zip(*triples)

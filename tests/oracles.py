@@ -322,3 +322,43 @@ def monic_legendre_coeffs(m: int) -> tuple[Fraction, ...]:
             (-1) ** k * math.comb(m, k) * math.comb(2 * m - 2 * k, m), math.comb(2 * m, m)
         )
     return tuple(out)
+
+
+def legendre_q_signs(m: int, points) -> list[int]:
+    """Exact sign of Q at each point q, a float or Fraction, where the monic
+    Legendre polynomial of degree m is u^s Q(u^2) with s = m % 2.
+
+    With d = m // 2 and q = a/b, the sign of Q(a/b) is that of the integer
+    b^d C(2m, m) Q(a/b), summed by homogeneous Horner on the closed-form
+    numerators of ``monic_legendre_coeffs``: (-1)^k C(m,k) C(2m-2k,m) at
+    q^(d-k)."""
+    nums = [(-1) ** k * math.comb(m, k) * math.comb(2 * m - 2 * k, m) for k in range(m // 2 + 1)]
+    signs = []
+    for q in points:
+        a, b = Fraction(q).as_integer_ratio()
+        acc, power = 0, 1
+        for c in nums:
+            acc = acc * a + c * power
+            power *= b
+        signs.append((acc > 0) - (acc < 0))
+    return signs
+
+
+# pi to 60 digits.
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def cos_pi(c: Fraction, prec: int) -> Decimal:
+    """cos(c pi) for 0 <= c <= 1/2, by its Taylor series with ten guard digits."""
+    if not 0 <= c <= Fraction(1, 2) or prec > 50:
+        raise ValueError("need 0 <= c <= 1/2 and at most 50 digits")
+    with localcontext(_ctx(prec)):
+        t2 = -(PI_60 * c.numerator / c.denominator) ** 2
+        term = total = Decimal(1)
+        k = 0
+        while abs(term) > Decimal(1).scaleb(-(prec + 5)):
+            k += 2
+            term = term * t2 / (k * (k - 1))
+            total += term
+    with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN)):
+        return +total

@@ -338,11 +338,12 @@ class TestLargeOrders:
         assert len(counts) == (n + 1) // 2
         assert max(counts) <= 12
 
-    @pytest.mark.parametrize("n", [151, 175, 199, 299])
+    @pytest.mark.parametrize("n", [151, 175, 199, 299, 599])
     def test_orders_past_the_isolation_grid(self, n):
         # A uniform 1,024-panel grid in q cannot separate the outermost
-        # roots here; Bruns' separators can.  Oracle nodes at ten more
-        # digits serve both the node and the weight check.
+        # roots here; Bruns' separators, proven by their position, can.
+        # Oracle nodes at ten more digits serve both the node and the
+        # weight check.
         prec = 50
         rule = gauss_rule(n, prec)
         with localcontext(Context(prec=prec + 20)):
@@ -499,6 +500,18 @@ def test_rules_and_weight_polynomials_fingerprint():
     for n in range(41):
         h.update(repr(weight_polynomial(n)).encode())
     assert h.hexdigest() == FINGERPRINT
+
+
+# sha256 over repr(gauss_rule(n, 50)) for n = 299, 599 and 999, as the rules
+# came when exact signs of W at the separators certified each bracket.
+LARGE_FINGERPRINT = "fe361bb4abf4638151696d366141fc1461719baeb6774947d32b6fe72bd24ad2"
+
+
+def test_large_order_rules_fingerprint():
+    h = hashlib.sha256()
+    for n in (299, 599, 999):
+        h.update(repr(gauss_rule(n, 50)).encode())
+    assert h.hexdigest() == LARGE_FINGERPRINT
 
 
 class TestLeadingErrorConstant:

@@ -1,14 +1,19 @@
-"""Root extraction: parity reduction, certified isolation, Newton polishing."""
+"""Root extraction: Bruns brackets proven by position, Newton polishing,
+the residual gate and the mirror."""
 
+import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from gaussquad import gausscf
 from gaussquad.gausscf import (
+    _bruns_brackets,
     _bruns_separators,
     _decimal_evaluator,
     _float_starts,
+    gauss_rule,
     legendre_pair,
 )
 from gaussquad.numerics import format_sig, working_context
@@ -16,12 +21,10 @@ from gaussquad.ratpoly import RatPoly
 from gaussquad.rootfind import (
     RootIsolationError,
     _ladder,
-    _parity_split,
     _polish,
-    _separator_brackets,
     real_roots_symmetric,
 )
-from oracles import legendre_nodes, newton_sqrt
+from oracles import cos_pi, legendre_nodes, legendre_q_signs, newton_sqrt
 
 F = Fraction
 
@@ -33,29 +36,28 @@ def _horner(poly: RatPoly):
     return lambda x: (poly.eval_hp(x), deriv.eval_hp(x))
 
 
-def _toy_roots(poly: RatPoly, separators, starts):
-    # Roots of a toy polynomial from hand-made separators and starts.
-    return real_roots_symmetric(poly, 50, _horner(poly), separators=separators,
+def _toy_roots(poly: RatPoly, brackets, starts):
+    # Roots of a toy polynomial from hand-made brackets and starts.
+    return real_roots_symmetric(poly.degree % 2, 50, _horner(poly), brackets=brackets,
                                 starts=[Decimal(x) for x in starts])
 
 
-def _legendre_roots(m: int, prec: int = 50, *, evaluate=None, separators=None, starts=None):
+def _legendre_roots(m: int, prec: int = 50, *, evaluate=None, starts=None):
     # Roots of the monic Legendre W of degree m as gauss_rule finds them:
-    # Bruns' separators, float-refined Tricomi starts and the recurrence
+    # Bruns' brackets, float-refined Tricomi starts and the recurrence
     # evaluator, which keeps every digit at m = 40, where Horner on the
     # monomial coefficients would not, unless a test replaces one of them.
     seps = _bruns_separators(m)
     return real_roots_symmetric(
-        legendre_pair(m).denominator, prec,
-        _decimal_evaluator(m) if evaluate is None else evaluate,
-        separators=seps if separators is None else separators,
+        m % 2, prec, _decimal_evaluator(m) if evaluate is None else evaluate,
+        brackets=_bruns_brackets(m, seps),
         starts=_float_starts(m, seps) if starts is None else starts,
     )
 
 
 class TestSmallCases:
     def test_two_point(self):
-        got = _toy_roots(RatPoly((F(-1, 3), 0, 1)), [F(0), F(1, 2)], ["0.5"])
+        got = _toy_roots(RatPoly((F(-1, 3), 0, 1)), [(0, 0.5, -1)], ["0.5"])
         want = newton_sqrt(F(1, 3), 50)
         assert len(got.roots) == 2
         assert abs(got.roots[1] - want) < Decimal("1e-45")
@@ -63,7 +65,7 @@ class TestSmallCases:
         assert format_sig(got.roots[1], 16) == "0.5773502691896258"
 
     def test_odd_case_has_exact_origin(self):
-        got = _toy_roots(RatPoly((0, F(-3, 5), 0, 1)), [F(1, 2), F(1)], ["0.77"])
+        got = _toy_roots(RatPoly((0, F(-3, 5), 0, 1)), [(0.5, 1, -1)], ["0.77"])
         assert got.roots[1] == 0
         want = newton_sqrt(F(3, 5), 50)
         assert abs(got.roots[2] - want) < Decimal("1e-45")
@@ -177,75 +179,132 @@ class TestPolishStarts:
             _legendre_roots(7, starts=[Decimal("0.5")])
 
 
-def _moved_across_a_root(m: int, j: int) -> list[Fraction]:
-    # Bruns' separators with point j moved across its neighbouring root,
-    # halfway to the next separator beyond that root.
+def _moved_across_a_root(m: int, i: int) -> list[float]:
+    # Bruns' separators with the i-th from the innermost moved across its
+    # neighbouring root, halfway to the next separator beyond that root.
     seps = _bruns_separators(m)
     q_roots = [r * r for r in legendre_nodes(m, 30) if r > 0]
-    if j < len(q_roots):
-        seps[j] = (F(q_roots[j]) + seps[j + 1]) / 2
+    if i < len(q_roots):
+        seps[i] = float((F(q_roots[i]) + F(seps[i + 1])) / 2)
     else:
-        seps[j] = (F(q_roots[j - 1]) + seps[j - 1]) / 2
+        seps[i] = float((F(q_roots[i - 1]) + F(seps[i - 1])) / 2)
     assert all(a < b for a, b in zip(seps, seps[1:]))
     return seps
 
 
-# Points that do not certify the one root 1/4 of q - 1/4 in (0, 1).
-UNCERTIFIED = [
-    [F(1, 2), F(1)],          # q - 1/4 is negative at both
-    [F(1, 4), F(1)],          # a root sits on a separator
-    [F(0), F(1, 2), F(1)],    # one pair too many
-    [F(1), F(0)],             # not rising
-    [F(-1), F(1)],            # outside [0, 1]
-    [F(0), F(2)],
-]
+def _signs(m: int) -> list[int]:
+    # (-1)^j at Bruns' separator j = m//2, ..., 0, in rising q.
+    return [-1 if j % 2 else 1 for j in range(m // 2, -1, -1)]
+
+
+def _uncertified() -> list[list[float]]:
+    # Ways to spoil the 21 Bruns separators of order 40, none of which a
+    # position check can prove.
+    seps = _bruns_separators(40)
+    on_root = float([x * x for x in legendre_nodes(40, 30) if x > 0][3])
+    return [
+        seps[:3] + [on_root] + seps[4:],                   # a point on a root
+        seps[:3] + [(seps[3] + seps[4]) / 2] + seps[3:],   # one point too many
+        seps[:3] + seps[4:],                               # one point too few
+        seps[:5] + [seps[6], seps[5]] + seps[7:],          # not rising
+        [-seps[0]] + seps[1:],                             # below q = 0
+        seps[:-1] + [1.5],                                 # the last point is not 1
+    ]
+
+
+UNCERTIFIED = _uncertified()
 
 
 class TestSeparators:
+    """Bruns' separators are proven by their position alone; the exact sign
+    of Q at each, from tests/oracles.py, is the oracle for the theorem."""
+
     def test_bruns_separators_certify_up_to_order_200(self):
         for m in range(1, 201):
-            q = _parity_split(legendre_pair(m).denominator)[1]
-            brackets = _separator_brackets(q, _bruns_separators(m))
-            assert brackets is not None and len(brackets) == m // 2, m
+            seps = _bruns_separators(m)
+            brackets = _bruns_brackets(m, seps)
+            assert legendre_q_signs(m, seps) == _signs(m), m
+            assert brackets == list(zip(seps, seps[1:], _signs(m))), m
 
     @pytest.mark.parametrize("m", [299, 300, 451, 600])
     def test_bruns_separators_certify_at_large_orders(self, m):
-        # The points are multiples of 2^-32, at most 2^-33 from the floats.
         seps = _bruns_separators(m)
-        assert all((2 ** 32) % x.denominator == 0 for x in seps)
-        q = _parity_split(legendre_pair(m).denominator)[1]
-        brackets = _separator_brackets(q, seps)
-        assert brackets is not None and len(brackets) == m // 2
+        brackets = _bruns_brackets(m, seps)
+        assert legendre_q_signs(m, seps) == _signs(m)
+        assert len(brackets) == m // 2
+
+    @pytest.mark.parametrize("m", [*range(1, 41), 57, 100, 151, 200, 300, 600])
+    def test_theorem_bounds_hold_against_the_oracle(self, m):
+        # The zero theta_j of P_m(cos theta), j-th from theta = 0, lies
+        # strictly between (j - 1/2) pi/(m + 1/2) and j pi/(m + 1), checked
+        # in u = cos theta at 40 digits.
+        positive = sorted(legendre_nodes(m, 40), reverse=True)[: m // 2]
+        for j, x in enumerate(positive, start=1):
+            assert cos_pi(F(j, m + 1), 40) < x < cos_pi(F(2 * j - 1, 2 * m + 1), 40), (m, j)
 
     def test_certified_separators_match_the_oracle(self):
         got = _legendre_roots(40).roots
         for a, b in zip(got, legendre_nodes(40, 50), strict=True):
             assert abs(a - b) <= Decimal("1e-48")
 
+    @pytest.mark.parametrize("j, side", [(1, "above"), (1, "below"), (7, "above"),
+                                         (13, "below"), (20, "above")])
+    def test_point_outside_its_interval_raises_between_the_same_zeros(self, j, side):
+        # Separator j of order 40 moved out of its interval, to halfway to
+        # the zero above it (towards q = 1) or below it, so that it still
+        # lies strictly between the same two zeros and the exact signs of Q
+        # would still certify it.  The position check refuses it.
+        m = 40
+        seps = _bruns_separators(m)
+        i = m // 2 - j
+        with localcontext(Context(prec=40)):
+            x = sorted(legendre_nodes(m, 40), reverse=True)
+            if side == "above":
+                q = (x[j - 1] ** 2 + cos_pi(F(j, m + 1), 40) ** 2) / 2
+            else:
+                q = (x[j] ** 2 + cos_pi(F(2 * j + 1, 2 * m + 1), 40) ** 2) / 2
+        seps[i] = float(q)
+        assert legendre_q_signs(m, seps) == _signs(m)
+        with pytest.raises(RootIsolationError, match=f"separator {j} of order {m}"):
+            _bruns_brackets(m, seps)
+
     @pytest.mark.parametrize("j", [0, 7, 20])
     def test_point_moved_across_a_root_raises(self, j):
-        with pytest.raises(RootIsolationError, match="separators do not certify"):
-            _legendre_roots(40, separators=_moved_across_a_root(40, j))
+        with pytest.raises(RootIsolationError, match="separator"):
+            _bruns_brackets(40, _moved_across_a_root(40, j))
 
-    def test_point_moved_across_a_root_never_returns_roots(self):
-        # Past order 150 as well, uncertified separators end in an error,
-        # not in roots.
-        with pytest.raises(RootIsolationError, match="separators do not certify"):
-            _legendre_roots(152, separators=_moved_across_a_root(152, 3))
+    def test_point_moved_across_a_root_never_returns_roots(self, monkeypatch):
+        # Past order 150 as well, gauss_rule ends in an error, not in roots.
+        moved = _moved_across_a_root(152, 3)
+        monkeypatch.setattr(gausscf, "_bruns_separators", lambda m: moved)
+        with pytest.raises(RootIsolationError, match="separator"):
+            gauss_rule(151)
 
     @pytest.mark.parametrize("points", UNCERTIFIED)
     def test_uncertified_points_are_refused(self, points):
-        assert _separator_brackets(RatPoly((F(-1, 4), 1)), points) is None
+        with pytest.raises(RootIsolationError):
+            _bruns_brackets(40, points)
 
     @pytest.mark.parametrize("points", UNCERTIFIED)
-    def test_uncertified_points_raise(self, points):
-        with pytest.raises(RootIsolationError, match="separators do not certify"):
-            _toy_roots(RatPoly((F(-1, 4), 0, 1)), points, ["0.5"])
+    def test_uncertified_points_raise(self, monkeypatch, points):
+        # gauss_rule runs the check on its separators before any polishing.
+        monkeypatch.setattr(gausscf, "_bruns_separators", lambda m: points)
+        with pytest.raises(RootIsolationError):
+            gauss_rule(39)
 
     def test_certified_points_give_signed_brackets(self):
-        q = RatPoly((F(3, 16), F(-1), 1))  # roots 1/4 and 3/4
-        assert _separator_brackets(q, [F(0), F(1, 2), F(1)]) == [
-            (F(0), F(1, 2), 1), (F(1, 2), F(1), -1)]
+        seps = _bruns_separators(4)
+        assert seps == [math.cos(j * math.pi / 4.5) ** 2 for j in (2, 1, 0)]
+        assert _bruns_brackets(4, seps) == [(seps[0], seps[1], 1), (seps[1], 1.0, -1)]
+
+    def test_interval_check_accepts_every_separator_at_order_10000(self):
+        # The tight margin, next to q = 1, is about pi^2/m^3 = 9.9e-12 here.
+        # Float separators keep inside it; rounding them to multiples of
+        # 2^-32, up to 1.2e-10 away, does not.
+        seps = _bruns_separators(10_000)
+        assert len(_bruns_brackets(10_000, seps)) == 5_000
+        with pytest.raises(RootIsolationError, match="separator 2 of order 10000"):
+            _bruns_brackets(10_000, [round(q * 2 ** 32) / 2 ** 32 for q in seps])
 
 
 class TestDerivatives:
@@ -264,25 +323,15 @@ class TestDerivatives:
 
 
 class TestRejection:
-    def test_mixed_parity(self):
-        with pytest.raises(ValueError, match="parity"):
-            _toy_roots(RatPoly((F(-1, 3), 1, 1)), [F(0), F(1)], ["0.5"])
-
-    def test_not_monic(self):
-        with pytest.raises(ValueError, match="monic"):
-            _toy_roots(RatPoly((F(-1, 3), 0, 2)), [F(0), F(1)], ["0.5"])
-
-    def test_constant(self):
-        with pytest.raises(ValueError):
-            _toy_roots(RatPoly.one(), [F(1)], [])
-
     def test_no_real_roots_detected(self):
+        # u^2 + 1 has no root in the claimed bracket; the residual gate refuses
+        # what Newton ends on.
         with pytest.raises(RootIsolationError):
-            _toy_roots(RatPoly((1, 0, 1)), [F(0), F(1)], ["0.5"])  # u^2 + 1
+            _toy_roots(RatPoly((1, 0, 1)), [(0, 1, -1)], ["0.5"])
 
     def test_roots_outside_interval_detected(self):
         with pytest.raises(RootIsolationError):
-            _toy_roots(RatPoly((-4, 0, 1)), [F(0), F(1)], ["0.5"])  # roots at +-2
+            _toy_roots(RatPoly((-4, 0, 1)), [(0, 1, -1)], ["0.5"])  # roots at +-2
 
     @pytest.mark.parametrize("m", [57, 81])
     def test_lost_digits_raise(self, m):
@@ -296,4 +345,4 @@ class TestRejection:
         # Roots at +-sqrt(1 - 1e-60), which round to +-1 at 50 digits.
         poly = RatPoly((-(1 - F(1, 10**60)), 0, 1))
         with pytest.raises(RootIsolationError, match="open interval"):
-            _toy_roots(poly, [F(0), F(1)], ["0.5"])
+            _toy_roots(poly, [(0, 1, -1)], ["0.5"])
