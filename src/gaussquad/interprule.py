@@ -11,9 +11,9 @@ unchanged by the affine bridge t = (u+1)/2 between the conventions.
 Weights come from the product-split construction: with T the monic node
 polynomial and T' the polynomial part of T times the moment series, the
 weight at node a is T'(a) / (dT/dt)(a).  This runs in exact rational
-arithmetic for every rule: a Decimal node is the rational it denotes, so its
-weights are exact, and each node and weight is rounded once to the rule's
-precision.
+arithmetic for every rule, whatever type its nodes have: a Decimal node is the
+rational it denotes.  The rule keeps its exact nodes, weights and node
+polynomial, and each node and weight is rounded once to the rule's precision.
 
 Error coefficients k[m] (true m-th moment minus the rule's m-th moment) are
 always computed two ways, once directly from the definition and once by
@@ -59,9 +59,10 @@ def _moments(convention: str, count: int) -> SeriesTail:
 class QuadRule:
     """An immutable quadrature rule.
 
-    Decimal nodes and weights are always present; exact Fraction mirrors and
-    the exact monic node polynomial are carried whenever they are available.
-    ``degree`` is the claimed degree of precision.
+    Decimal nodes and weights are always present.  Every interpolatory rule,
+    and the one-point Gauss rule, also carries its exact Fraction nodes and
+    weights; every rule the library builds carries its exact monic node
+    polynomial.  ``degree`` is the claimed degree of precision.
     """
 
     convention: str
@@ -119,42 +120,39 @@ def interpolatory_rule(
 ) -> QuadRule:
     """Build the unique interpolatory rule on the given distinct nodes.
 
-    The weights are computed exactly on rational nodes.  Rational nodes (int
-    or Fraction) are used as given, and the rule keeps their exact weights and
-    node polynomial.  If any node is a Decimal, every node is first taken at
-    the working precision, then as the exact rational that Decimal denotes;
-    the rule then carries decimal nodes and weights only.  A NaN or an
-    infinite node raises ValueError.
+    Each node is the rational it denotes: an int or a Fraction as given, any
+    other value as the Decimal it gives at the working precision.  The rule
+    keeps these exact nodes, their exact weights and the monic node
+    polynomial, and rounds each node and weight once to ``prec`` digits.
+    ``nodes`` is read once, so an iterator will do.  A NaN or an infinite
+    node raises ValueError.
     """
     if convention not in _INTERVALS:
         raise ValueError(f"unknown convention {convention!r}")
-    if not nodes:
-        raise ValueError("at least one node is required")
     prec = resolve_precision(prec)
-    exact = all(isinstance(a, (int, Fraction)) for a in nodes)
     with localcontext(working_context(prec)):
-        given = [Fraction(a) if exact else _as_decimal(a) for a in nodes]
+        given = [Fraction(a) if isinstance(a, (int, Fraction)) else _as_decimal(a) for a in nodes]
+        if not given:
+            raise ValueError("at least one node is required")
         for a in given:
-            if not exact and not a.is_finite():
+            if isinstance(a, Decimal) and not a.is_finite():
                 raise ValueError(f"node {a} is not a finite number")
         given.sort()
-        if any(a == b for a, b in zip(given, given[1:])):
+        pts = [Fraction(a) for a in given]
+        if any(a == b for a, b in zip(pts, pts[1:])):
             raise ValueError("duplicate nodes")
         _check_interval(given, convention)
-        pts = [Fraction(a) for a in given]
         node_poly = RatPoly.from_roots(pts)
         tprime, _ = product_split(node_poly, _moments(convention, len(pts)), tail_len=0)
         deriv = node_poly.derivative()
         wts = [tprime.eval(a) / deriv.eval(a) for a in pts]
-    nodes_hp = tuple(to_hp(a, prec) for a in given)
-    wts_hp = tuple(to_hp(w, prec) for w in wts)
     return QuadRule(
         convention=convention,
-        nodes=nodes_hp,
-        weights=wts_hp,
-        nodes_exact=tuple(pts) if exact else None,
-        weights_exact=tuple(wts) if exact else None,
-        nodepoly=node_poly if exact else None,
+        nodes=tuple(to_hp(a, prec) for a in given),
+        weights=tuple(to_hp(w, prec) for w in wts),
+        nodes_exact=tuple(pts),
+        weights_exact=tuple(wts),
+        nodepoly=node_poly,
         degree=len(pts) - 1,
     )
 
@@ -176,8 +174,9 @@ def error_coefficients(rule: QuadRule, count: int, prec: int | None = None) -> E
 
     The values come from long division of the product-split tail by the node
     polynomial; the defining moment differences are recomputed independently
-    (exactly when the rule is exact, in decimal otherwise) and any
-    disagreement raises ArithmeticError.  The decimal check allows
+    (exactly when the rule carries exact nodes and weights, as every
+    interpolatory rule does, in decimal otherwise) and any disagreement
+    raises ArithmeticError.  The decimal check allows
     10**-(d-8), where d is the most significant digits any node or weight
     carries, capped at ``prec``.
     """

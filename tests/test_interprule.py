@@ -22,6 +22,7 @@ from gaussquad.interprule import (
     parse_poly_spec,
     to_convention,
 )
+from gaussquad.numerics import to_hp, working_context
 from gaussquad.ratpoly import RatPoly
 from oracles import (
     LN_2,
@@ -31,6 +32,9 @@ from oracles import (
 )
 
 F = Fraction
+
+# Simpson's nodes as Decimals: the rule takes each as the rational it denotes.
+DECIMAL_SIMPSON_NODES = [Decimal(0), Decimal("0.5"), Decimal(1)]
 
 
 def random_node_set(rng, size, denom=24):
@@ -51,12 +55,19 @@ class TestInterpolatoryRule:
     def test_simpson_weights(self):
         rule = interpolatory_rule([0, F(1, 2), 1], T01)
         assert rule.weights_exact == (F(1, 6), F(2, 3), F(1, 6))
+        # The nodes are read once, so an iterator gives the same rule.
+        assert interpolatory_rule(iter([0, F(1, 2), 1]), T01) == rule
+
+    @pytest.mark.parametrize("nodes", [[], iter([])], ids=["list", "iterator"])
+    def test_no_nodes_rejected(self, nodes):
+        with pytest.raises(ValueError, match="at least one node is required"):
+            interpolatory_rule(nodes, T01)
 
     def test_symmetric_two_point(self):
         r = newton_sqrt(F(1, 3), 50)
         # copy_negate avoids rounding r to the ambient 28-digit context
         rule = interpolatory_rule([r.copy_negate(), r], U11)
-        assert rule.nodes_exact is None
+        assert rule.weights_exact == (F(1, 2), F(1, 2))
         for w in rule.weights:
             assert abs(w - Decimal("0.5")) < Decimal("1e-45")
 
@@ -111,8 +122,9 @@ class TestDecimalNodes:
                                for k in range(n))
         rule = interpolatory_rule(nodes, T01, 50)
         assert rule.nodes == tuple(nodes)
-        assert rule.weights_exact is None and rule.nodepoly is None
         exact = lagrange_weights_exact([F(a) for a in nodes], T01)
+        assert rule.weights_exact == tuple(exact)
+        assert rule.nodepoly == RatPoly.from_roots([F(a) for a in nodes])
         for w, x in zip(rule.weights, exact):
             half_ulp = F(Decimal(5).scaleb(w.adjusted() - 50))
             assert abs(F(w) - x) <= half_ulp, (w, x)
@@ -121,6 +133,10 @@ class TestDecimalNodes:
         rule = interpolatory_rule([Decimal("1e-400"), Decimal("0.5")], T01)
         assert rule.nodes == (Decimal("1e-400"), Decimal("0.5"))
         assert rule.weights == (0, 1)
+        # Next to a Fraction, 0.5 keeps its exact weight 0: 1/3 is not rounded.
+        rule = interpolatory_rule([F(1, 3), Decimal("0.5"), 1], T01)
+        assert rule.weights_exact == (F(3, 4), 0, F(1, 4))
+        assert rule.weights[1] == 0
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_node_refused(self, bad):
@@ -172,9 +188,10 @@ class TestErrorCoefficients:
         assert ks[2] == F(-1, 6)
 
     def test_simpson_bonus_degree(self):
-        ks = error_coefficients(newton_cotes(2), 5)
+        ks = error_coefficients(newton_cotes(2), 8)
         assert ks[3] == 0
         assert ks[4] == F(-1, 120)
+        assert error_coefficients(interpolatory_rule(DECIMAL_SIMPSON_NODES, T01), 8) == ks
 
     def test_leading_zeros_match_rule_degree(self):
         for n in (2, 4, 6):
@@ -211,10 +228,10 @@ class TestErrorCoefficients:
     def test_exact_cross_check_catches_corrupt_weights(self):
         # Symmetric corruption keeps the rule's moments 0 and 1 and breaks
         # moment 2, so the exact direct route must disagree with the series.
-        rule = newton_cotes(2)
         bad = (F(1, 6) + F(1, 100), F(2, 3) - F(1, 50), F(1, 6) + F(1, 100))
-        with pytest.raises(ArithmeticError, match="mismatch at m=2"):
-            error_coefficients(replace(rule, weights_exact=bad), 5)
+        for rule in (newton_cotes(2), interpolatory_rule(DECIMAL_SIMPSON_NODES, T01)):
+            with pytest.raises(ArithmeticError, match="mismatch at m=2"):
+                error_coefficients(replace(rule, weights_exact=bad), 5)
 
     def test_decimal_cross_check_catches_corrupt_weights(self):
         # Moving two weights by +-1e-30 keeps the weight sum (so the rule
@@ -354,6 +371,15 @@ class TestConventionMap:
         got = to_convention(interpolatory_rule(nodes, U11), T01, 50).nodes
         exact = [(1 + a) / 2 for a in nodes]
         assert got == tuple(ctx.divide(t.numerator, t.denominator) for t in exact)
+        # Decimal nodes map from their exact values too.  From u rounded to 40
+        # digits, the t-node of u = -1 + 1/700000 would keep 34 digits, and
+        # t = 2/3 would end in ...666.
+        with localcontext(Context(prec=55)):
+            given = [-1 + Decimal(1) / 700000, Decimal(-1) / 7, Decimal(1) / 3]
+        got = to_convention(interpolatory_rule(given, U11, 40), T01, 40).nodes
+        with localcontext(working_context(40)):
+            us = [+u for u in given]
+        assert got == tuple(to_hp((F(u) + 1) / 2, 40) for u in us)
 
     def test_exact_node_rounded_by_one_division(self):
         # t lies just below a half-ulp tie at 40 digits.  Rounded first to
