@@ -46,6 +46,7 @@ from .interprule import (
     newton_cotes,
     node_terms,
     parse_poly_spec,
+    to_convention,
 )
 from .momseries import moment_series_t, product_split
 from .numerics import (
@@ -127,7 +128,7 @@ def cmd_tables(args, parser) -> Report:
     for n in range(args.n_min, args.n_max + 1):
         pair = legendre_pair(n + 1)
         rule_u = gauss_rule(n, prec, convention=U11)
-        rule_t = gauss_rule(n, prec, convention=T01)
+        rule_t = to_convention(rule_u, T01, prec)
         t_poly = rule_t.nodepoly
         t_prime, _ = product_split(t_poly, moment_series_t(t_poly.degree), tail_len=0)
         c, k_first = leading_error_constant(n)

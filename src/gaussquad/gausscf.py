@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
@@ -247,9 +247,10 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     measure's 1/((1-x^2) P_m'(x)^2).  The form is even in x and in W', so
     the iterates and derivatives that root isolation mirrored give weights
     symmetric bit for bit; a weight sum that misses 1 by more than
-    10**-(prec-5) raises ArithmeticError.  The rule is built on [-1, 1] and
-    mapped affinely when the t-form is requested, each t-node rounded once
-    from the unrounded iterate.  Tested up to n = 999 at precision 50.
+    10**-(prec-5) raises ArithmeticError.  The rule keeps those iterates, and
+    is built on [-1, 1] and mapped by ``to_convention`` when the t-form is
+    requested, so each t-node, like each u-node, is rounded once from its
+    unrounded iterate.  Tested up to n = 999 at precision 50.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -272,24 +273,17 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
         raise ArithmeticError(
             f"weights of the {n + 1}-point rule miss unit mass by {defect:.3e}"
         )
-    if n == 0:
-        nodes_exact: tuple[Fraction, ...] | None = (Fraction(0),)
-        weights_exact: tuple[Fraction, ...] | None = (Fraction(1),)
-    else:
-        nodes_exact = weights_exact = None
     rule = QuadRule(
         convention=U11,
         nodes=found.roots,
         weights=weights,
-        nodes_exact=nodes_exact,
-        weights_exact=weights_exact,
+        nodes_exact=(Fraction(0),) if n == 0 else None,
+        weights_exact=(Fraction(1),) if n == 0 else None,
         nodepoly=pair.denominator,
         degree=2 * n + 1,
+        iterates=found.iterates,
     )
-    if convention == U11:
-        return rule
-    # Each t-node is rounded once from its unrounded iterate, as each u-node is.
-    return to_convention(replace(rule, nodes=found.iterates), convention, prec)
+    return rule if convention == U11 else to_convention(rule, convention, prec)
 
 
 def _in_q(poly: RatPoly) -> RatPoly:

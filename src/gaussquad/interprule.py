@@ -24,7 +24,7 @@ must agree; a disagreement signals an internal bug and raises.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -62,7 +62,9 @@ class QuadRule:
     Decimal nodes and weights are always present.  Every interpolatory rule,
     and the one-point Gauss rule, also carries its exact Fraction nodes and
     weights; every rule the library builds carries its exact monic node
-    polynomial.  ``degree`` is the claimed degree of precision.
+    polynomial.  A Gauss rule keeps ``iterates``, the unrounded values its
+    nodes were rounded from, outside ``repr`` and ``==``.  ``degree`` is the
+    claimed degree of precision.
     """
 
     convention: str
@@ -72,12 +74,15 @@ class QuadRule:
     weights_exact: tuple[Fraction, ...] | None = None
     nodepoly: RatPoly | None = None
     degree: int = 0
+    iterates: tuple[Decimal, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.convention not in _INTERVALS:
             raise ValueError(f"unknown convention {self.convention!r}")
         if not self.nodes or len(self.nodes) != len(self.weights):
             raise ValueError("rule needs equally many nodes and weights, at least one")
+        if self.iterates is not None and len(self.iterates) != len(self.nodes):
+            raise ValueError("rule needs one iterate per node")
         for lo, hi in zip(self.nodes, self.nodes[1:]):
             if not lo < hi:
                 raise ValueError("nodes must be strictly increasing")
@@ -102,6 +107,11 @@ class ErrorSeries(SeriesTail):
     def k(self) -> tuple[Fraction, ...]:
         """The coefficients: k[m] is the rule's error on x**m."""
         return self.coeffs
+
+
+def _carried_digits(rule: QuadRule, prec: int) -> int:
+    # The most significant digits any node or weight carries, capped at prec.
+    return min(prec, max(len(x.as_tuple().digits) for x in rule.nodes + rule.weights))
 
 
 def _check_interval(nodes, convention: str) -> None:
@@ -192,7 +202,7 @@ def error_coefficients(rule: QuadRule, count: int, prec: int | None = None) -> E
     theta = divide_tail_by_poly(tail, node_poly, count)
     # The rule's own moments take the exact path exactly when the rule is exact.
     exact = rule.nodes_exact is not None and rule.weights_exact is not None
-    digits = min(prec, max(len(x.as_tuple().digits) for x in rule.nodes + rule.weights))
+    digits = _carried_digits(rule, prec)
     conv, tol = (Fraction, 0) if exact else (_as_decimal, Decimal(1).scaleb(-(digits - 8)))
     with localcontext(working_context(prec)):
         sums = cauchy_expansion_of_rule(rule, count)
@@ -260,7 +270,13 @@ def node_terms(
 
 
 def to_convention(rule: QuadRule, convention: str, prec: int | None = None) -> QuadRule:
-    """Map a rule to the other convention via t = (u+1)/2; weights are unchanged."""
+    """Map a rule to the other convention via t = (u+1)/2; weights are unchanged.
+
+    Each node is mapped from its exact value, else from its iterate, else from
+    itself, and rounded once: to ``prec`` digits, but from an iterate to no more
+    digits than the rule's nodes and weights carry.  A rounded node is the last
+    resort, as its rounding error swamps a mapped node near 0.
+    """
     if convention not in _INTERVALS:
         raise ValueError(f"unknown convention {convention!r}")
     if rule.convention == convention:
@@ -272,20 +288,19 @@ def to_convention(rule: QuadRule, convention: str, prec: int | None = None) -> Q
         to_new, scale, shift = (lambda b: (b + 1) / 2), 2, -1
     else:
         to_new, scale, shift = (lambda a: 2 * a - 1), Fraction(1, 2), Fraction(1, 2)
-    # A node is mapped from its exact value when the rule has one, else at
-    # the working precision, and rounded once: mapping a rounded u-node to
-    # t = (u+1)/2 cancels near t = 0.
+    source = rule.nodes_exact or rule.iterates or rule.nodes
+    prec = _carried_digits(rule, prec) if source is rule.iterates else prec
     with localcontext(working_context(prec)):
-        nodes_hp = tuple(to_hp(to_new(x), prec) for x in rule.nodes_exact or rule.nodes)
-    return replace(
-        rule,
-        convention=convention,
-        nodes=nodes_hp,
-        nodes_exact=None if rule.nodes_exact is None else tuple(map(to_new, rule.nodes_exact)),
-        nodepoly=None if rule.nodepoly is None else (
-            rule.nodepoly.compose_affine(scale, shift).scale(Fraction(1, scale) ** rule.npoints)
-        ),
-    )
+        return replace(
+            rule,
+            convention=convention,
+            nodes=tuple(to_hp(to_new(x), prec) for x in source),
+            nodes_exact=None if rule.nodes_exact is None else tuple(map(to_new, rule.nodes_exact)),
+            nodepoly=None if rule.nodepoly is None else (
+                rule.nodepoly.compose_affine(scale, shift).scale(Fraction(1, scale) ** rule.npoints)
+            ),
+            iterates=None if rule.iterates is None else tuple(map(to_new, rule.iterates)),
+        )
 
 
 # -- built-in integrands -------------------------------------------------

@@ -394,13 +394,13 @@ class TestLargeOrders:
 
 
 def _misrounded(nodes, poly: RatPoly, prec: int) -> list[Decimal]:
-    # Positive nodes b whose half-ulp neighbours at prec digits do not
+    # Nonzero nodes b whose half-ulp neighbours at prec digits do not
     # bracket a sign change of the exact poly: the root nearest such a b
     # does not round to b.
     ctx = Context(prec=prec)
     bad = []
     for b in nodes:
-        if b > 0:
+        if b != 0:
             lo = (F(b) + F(ctx.next_minus(b))) / 2
             hi = (F(b) + F(ctx.next_plus(b))) / 2
             if poly.eval(lo) * poly.eval(hi) >= 0:
@@ -408,8 +408,10 @@ def _misrounded(nodes, poly: RatPoly, prec: int) -> list[Decimal]:
     return bad
 
 
-# Rules whose t-nodes, mapped from rounded u-nodes, were misrounded: 1 of 5,
-# 4 of 13, 11 of 29, 50 of 101, 56 of 151, 37 of 97 and 6 of 13.
+# Rules whose t-nodes, mapped from rounded u-nodes rather than from the
+# iterates, come out misrounded: 1 of 5, 4 of 13, 11 of 29, 50 of 101, 56 of
+# 151, 37 of 97 and 6 of 13.  Each rule is checked as gauss_rule builds it in
+# either convention and as to_convention maps it from the other one.
 _ROUNDING_RULES = [(4, 50), (12, 50), (28, 50), (100, 50), (150, 50), (96, 200), (12, 1000)]
 
 
@@ -417,13 +419,34 @@ class TestCorrectRounding:
     """Every node is its root correctly rounded, certified by exact signs of
     the rational node polynomial at the half-ulp neighbours."""
 
-    @pytest.mark.parametrize("n, prec, convention", [
-        *(pytest.param(n, prec, U11, id=f"{n}-{prec}") for n, prec in _ROUNDING_RULES),
-        *(pytest.param(n, prec, T01, id=f"t01-{n}-{prec}") for n, prec in _ROUNDING_RULES),
+    @pytest.mark.parametrize("n, prec, convention, mapped", [
+        *(pytest.param(n, prec, U11, False, id=f"{n}-{prec}") for n, prec in _ROUNDING_RULES),
+        *(pytest.param(n, prec, T01, False, id=f"t01-{n}-{prec}") for n, prec in _ROUNDING_RULES),
+        *(pytest.param(n, prec, U11, True, id=f"from-t01-{n}-{prec}")
+          for n, prec in _ROUNDING_RULES),
+        *(pytest.param(n, prec, T01, True, id=f"t01-from-u11-{n}-{prec}")
+          for n, prec in _ROUNDING_RULES),
     ])
-    def test_nodes_are_correctly_rounded(self, n, prec, convention):
-        rule = gauss_rule(n, prec, convention)
+    def test_nodes_are_correctly_rounded(self, n, prec, convention, mapped):
+        if mapped:
+            other = T01 if convention == U11 else U11
+            rule = to_convention(gauss_rule(n, prec, other), convention, prec)
+        else:
+            rule = gauss_rule(n, prec, convention)
         assert _misrounded(rule.nodes, rule.nodepoly, prec) == []
+
+    @pytest.mark.parametrize("n", [4, 12, 100])
+    def test_more_digits_than_the_rule_carries(self, n):
+        # The iterates are mapped to at most the rule's own 50 digits.
+        rule = to_convention(gauss_rule(n, 50), T01, 100)
+        assert rule.nodes == gauss_rule(n, 50, T01).nodes
+
+    @pytest.mark.parametrize("n, prec", [(0, 50), (12, 50), (100, 50), (96, 200)])
+    def test_round_trip(self, n, prec):
+        rule = gauss_rule(n, prec)
+        back = to_convention(to_convention(rule, T01, prec), U11, prec)
+        assert back.nodes == rule.nodes
+        assert back == rule
 
     def test_node_one_ulp_off_is_caught(self):
         rule = gauss_rule(28, 50)

@@ -453,3 +453,22 @@ class TestQuadRuleValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             QuadRule(convention=T01, nodes=(), weights=())
+
+    def test_iterate_count_checked(self):
+        with pytest.raises(ValueError, match="one iterate per node"):
+            QuadRule(
+                convention=T01,
+                nodes=(Decimal("0.3"), Decimal("0.7")),
+                weights=(Decimal("0.5"), Decimal("0.5")),
+                iterates=(Decimal("0.3"),),
+            )
+
+    def test_iterates_outside_repr_and_equality(self):
+        rule = QuadRule(
+            convention=T01,
+            nodes=(Decimal("0.3"), Decimal("0.7")),
+            weights=(Decimal("0.5"), Decimal("0.5")),
+        )
+        carried = replace(rule, iterates=(Decimal("0.3000000000001"), Decimal("0.6999999999999")))
+        assert carried == rule
+        assert repr(carried) == repr(rule)
