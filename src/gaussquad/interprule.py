@@ -23,10 +23,12 @@ must agree; a disagreement signals an internal bug and raises.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from . import numerics
@@ -306,12 +308,23 @@ def to_convention(rule: QuadRule, convention: str, prec: int | None = None) -> Q
 # -- built-in integrands -------------------------------------------------
 
 
-# A decimal coefficient of a ``poly:`` spec may span at most this many digits:
-# its significant digits plus the magnitude of its exponent.  That bounds the
+# A coefficient of a ``poly:`` spec may span at most this many digits: its
+# significant digits plus the magnitude of its exponent.  That bounds the
 # numerator and denominator of its Fraction, which Fraction builds in full
 # (Fraction('1e9999999') takes seconds), well inside the 4300 digits that
-# Python converts to a string.
+# Python converts to a string.  A ``p/q`` is bounded by that conversion alone.
 POLY_MAX_DIGITS = 1000
+
+# A coefficient read straight into integers: an optional sign, ASCII digits
+# and an optional ``/`` with a nonzero ASCII-digit denominator.  Every other
+# form (decimals, exponents, underscores, other digits, a zero denominator,
+# malformed text) is left to Decimal and Fraction.
+_INT_OR_RATIO = re.compile(r"([+-]?)([0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _size_error(text: str) -> ValueError:
+    return ValueError(f"polynomial coefficient {text!r} is not a decimal of at most "
+                      f"{POLY_MAX_DIGITS} digits")
 
 
 def _check_coefficient_size(text: str) -> None:
@@ -324,28 +337,47 @@ def _check_coefficient_size(text: str) -> None:
         # refuses is malformed or has an exponent beyond Decimal's range.
         too_big = "e" in text.lower()
     if too_big:
-        raise ValueError(f"polynomial coefficient {text!r} is not a decimal of at most "
-                         f"{POLY_MAX_DIGITS} digits")
+        raise _size_error(text)
+
+
+def _bad_list(body: str) -> ValueError:
+    return ValueError(f"bad polynomial coefficient list {body!r}")
 
 
 def parse_poly_spec(spec: str) -> RatPoly:
-    """Parse ``poly:c0,c1,...`` coefficient lists (ascending, Fractions).
+    """Parse ``poly:c0,c1,...`` coefficient lists (ascending, rationals).
 
     Each coefficient is an integer, a decimal (exponent form allowed) or
-    ``p/q``; a decimal spanning more than ``POLY_MAX_DIGITS`` digits is refused
-    with ValueError before any Fraction is built.
+    ``p/q``; an integer or decimal spanning more than ``POLY_MAX_DIGITS``
+    digits is refused with ValueError before its value is built.  A list of
+    ASCII integers and ``p/q`` alone is read with ``int`` onto the integer
+    kernel; any other form sends the whole list through Fraction.  Either
+    way the values and the errors are the same.
     """
     body = spec.split(":", 1)[1] if spec.startswith("poly:") else spec
     parts = [part.strip() for part in body.split(",") if part.strip()]
-    for part in parts:
-        _check_coefficient_size(part)
-    try:
-        coeffs = [Fraction(part) for part in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad polynomial coefficient list {body!r}") from exc
-    if not coeffs:
+    if not parts:
         raise ValueError("polynomial integrand needs at least one coefficient")
-    return RatPoly(coeffs)
+    matches = [_INT_OR_RATIO.fullmatch(part) for part in parts]
+    if not all(matches):
+        for part in parts:
+            _check_coefficient_size(part)
+        try:
+            return RatPoly(Fraction(part) for part in parts)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _bad_list(body) from exc
+    groups = [m.groups() for m in matches]
+    # Every size error comes before any conversion error, as on the Fraction path.
+    for part, (_, digits, den) in zip(parts, groups):
+        if den is None and len(digits.lstrip("0")) > POLY_MAX_DIGITS:
+            raise _size_error(part)
+    try:
+        pairs = [(-int(digits) if sign == "-" else int(digits), int(den or 1))
+                 for sign, digits, den in groups]
+    except ValueError as exc:  # past the interpreter's int conversion limit
+        raise _bad_list(body) from exc
+    den = lcm(*(q for _, q in pairs))
+    return RatPoly.from_numerators((p * (den // q) for p, q in pairs), den)
 
 
 def named_integrand(name: str, prec: int | None = None) -> Callable[[Decimal], Decimal]:

@@ -20,7 +20,7 @@ anything above 1000, the largest precision the package is tested at.
 from __future__ import annotations
 
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation,
-                     localcontext)
+                     getcontext, localcontext)
 from fractions import Fraction
 
 Rational = Fraction
@@ -31,8 +31,9 @@ MIN_PRECISION = 40
 MAX_PRECISION = 1000
 GUARD_DIGITS = 10
 
-# ln(2) cache keyed by working-context precision.
+# ln(2) and ln(10) caches keyed by working-context precision.
 _LN2_CACHE: dict[int, Decimal] = {}
+_LN10_CACHE: dict[int, Decimal] = {}
 
 # _ln reduces its argument into [_LN_LO, _LN_HI).
 _LN_LO = Decimal("0.75")
@@ -113,13 +114,20 @@ def _atanh_series(z: Decimal) -> Decimal:
 
 
 def _ln2() -> Decimal:
-    from decimal import getcontext
-
     prec = getcontext().prec
     cached = _LN2_CACHE.get(prec)
     if cached is None:
         cached = 2 * _atanh_series(Decimal(1) / 3)
         _LN2_CACHE[prec] = cached
+    return cached
+
+
+def _ln10() -> Decimal:
+    prec = getcontext().prec
+    cached = _LN10_CACHE.get(prec)
+    if cached is None:
+        cached = _ln(Decimal(10))
+        _LN10_CACHE[prec] = cached
     return cached
 
 
@@ -167,7 +175,7 @@ def hp_log10_scaled(w, prec: int | None = None) -> Decimal:
         wd = _as_decimal(w)
         if not wd.is_finite() or wd <= 0:
             raise ValueError(f"hp_log10_scaled requires a finite w > 0, got {w}")
-        out = 9 + _ln(wd) / _ln(Decimal(10))
+        out = 9 + _ln(wd) / _ln10()
     return round_to(out, prec)
 
 

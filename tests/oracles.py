@@ -10,11 +10,12 @@ roots from a self-contained Newton iteration on x^2 - v.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-from gaussquad.interprule import T01, U11
+from gaussquad.interprule import POLY_MAX_DIGITS, T01, U11
+from gaussquad.ratpoly import RatPoly
 
 
 def _ctx(prec: int) -> Context:
@@ -362,3 +363,33 @@ def cos_pi(c: Fraction, prec: int) -> Decimal:
             total += term
     with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN)):
         return +total
+
+
+# -- poly: integrand specs ------------------------------------------------------
+
+
+def parse_poly_spec_fractions(spec: str) -> RatPoly:
+    """``interprule.parse_poly_spec`` with every coefficient read by Fraction.
+
+    Each coefficient is size-checked through Decimal first, then the list is
+    converted by Fraction and handed to RatPoly's Fraction constructor: the
+    values and error messages the integer reader must reproduce.
+    """
+    body = spec.split(":", 1)[1] if spec.startswith("poly:") else spec
+    parts = [part.strip() for part in body.split(",") if part.strip()]
+    for part in parts:
+        try:
+            _, digits, exponent = Decimal(part).as_tuple()
+            too_big = isinstance(exponent, int) and len(digits) + abs(exponent) > POLY_MAX_DIGITS
+        except InvalidOperation:
+            too_big = "e" in part.lower()
+        if too_big:
+            raise ValueError(f"polynomial coefficient {part!r} is not a decimal of at most "
+                             f"{POLY_MAX_DIGITS} digits")
+    try:
+        coeffs = [Fraction(part) for part in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad polynomial coefficient list {body!r}") from exc
+    if not coeffs:
+        raise ValueError("polynomial integrand needs at least one coefficient")
+    return RatPoly(coeffs)

@@ -8,6 +8,8 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussquad.interprule import (
     T01,
@@ -29,6 +31,7 @@ from oracles import (
     lagrange_weights_exact,
     moment_system_weights,
     newton_sqrt,
+    parse_poly_spec_fractions,
 )
 
 F = Fraction
@@ -431,6 +434,68 @@ class TestIntegrands:
         # Refused from the Decimal parse: Fraction('1e9999999') alone takes seconds.
         with pytest.raises(ValueError, match="at most 1000 digits"):
             parse_poly_spec(spec)
+
+
+def _parse_outcome(parse, spec):
+    """The numerators a parser returns, or the type and message of what it raises."""
+    try:
+        return parse(spec).numerators
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_sign = st.sampled_from(["", "+", "-"])
+_digits = st.text("0123456789", min_size=1, max_size=12)
+_space = st.sampled_from(["", " ", "\t"])
+# Integers and p/q in ASCII digits, which the parser reads with int().
+_int_or_ratio = st.one_of(
+    st.tuples(_sign, _digits).map("".join),
+    st.tuples(_sign, _digits, st.just("/"), _digits).map("".join),
+)
+_coefficient = st.one_of(
+    _int_or_ratio,
+    st.tuples(_sign, _digits, _space, st.just("/"), _space, _sign, _digits).map("".join),
+    st.tuples(_sign, _digits, st.just("."), st.text("0123456789", max_size=6)).map("".join),
+    st.tuples(_sign, _digits, st.sampled_from(["e", "E"]), _sign,
+              st.text("0123456789", min_size=1, max_size=4)).map("".join),
+    st.tuples(_sign, st.from_regex(r"[0-9]+(_[0-9]+)+", fullmatch=True),
+              st.sampled_from(["", "/3", "/1_0", ".5"])).map("".join),
+    st.sampled_from(["Infinity", "-inf", "NaN", "x", "1e", "/", "1//2", "1/", "/2",
+                     "٣/4", "0x10", "1.5/2", "--1", "+"]),
+)
+
+
+def _coefficient_lists(coefficient):
+    part = st.one_of(st.tuples(_space, coefficient, _space).map("".join), _space)
+    return st.lists(part, max_size=6).map(",".join)
+
+
+# Lists of ASCII integers and p/q alone, and lists mixing every form.
+_poly_spec = st.tuples(
+    st.sampled_from(["poly:", ""]),
+    st.one_of(_coefficient_lists(_int_or_ratio), _coefficient_lists(_coefficient)),
+).map("".join)
+
+_POLY_SPEC_CASES = [
+    "poly:1/0", "poly:3 /4", "poly:1_000/3", "poly:Infinity", "poly:٣/4", "poly:-0",
+    "poly:007/014", "poly:" + "7" * 1001, "poly:" + "7" * 5000 + "/3", "poly:",
+    "poly:" + "0" * 5000 + "1", "poly:1/0," + "9" * 1001, "poly:1/" + "3" * 5000,
+    "poly:2/4,-6/8,0", "poly:0,0", "poly:+5/6,-0/7", "poly:1,,2, ,3",
+]
+
+
+class TestPolySpecAgainstFractionReader:
+    @pytest.mark.parametrize("spec", _POLY_SPEC_CASES,
+                             ids=[repr(c)[:24] for c in _POLY_SPEC_CASES])
+    def test_fixed_cases(self, spec):
+        assert _parse_outcome(parse_poly_spec, spec) == \
+            _parse_outcome(parse_poly_spec_fractions, spec)
+
+    @settings(max_examples=300)
+    @given(_poly_spec)
+    def test_random_specs(self, spec):
+        assert _parse_outcome(parse_poly_spec, spec) == \
+            _parse_outcome(parse_poly_spec_fractions, spec)
 
 
 class TestQuadRuleValidation:

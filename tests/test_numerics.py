@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussquad import numerics
 from gaussquad.numerics import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -100,6 +101,21 @@ class TestLog10Scaled:
     def test_non_finite_input_raises(self, w):
         with pytest.raises(ValueError, match="finite"):
             hp_log10_scaled(w)
+
+    def test_cached_ln10_matches_uncached_across_precisions(self, monkeypatch):
+        # ln 10 is cached per precision: alternating precisions must never
+        # hand one precision's value to another.
+        weights = [Fraction(1, 3), Decimal("0.0123"), Fraction(7, 2)]
+        precs = [40, 200, 50, 1000, 40, 50, 200]
+        uncached = {}
+        for prec in set(precs):
+            for w in weights:
+                monkeypatch.setattr(numerics, "_LN10_CACHE", {})
+                uncached[prec, w] = hp_log10_scaled(w, prec)
+        monkeypatch.setattr(numerics, "_LN10_CACHE", {})
+        for prec in precs:
+            for w in weights:
+                assert hp_log10_scaled(w, prec) == uncached[prec, w]
 
 
 class TestConversion:
