@@ -276,13 +276,18 @@ def cmd_integrate(args, parser) -> Report:
     else:
         if not args.fn:
             parser.error("one of --fn or --samples is required")
+        poly = None
         try:
-            f = named_integrand(args.fn, prec)
+            if args.fn.startswith("poly:"):
+                poly = parse_poly_spec(args.fn)
+                f = poly.eval_hp
+            else:
+                f = named_integrand(args.fn, prec)
         except ValueError as exc:
             raise CliError(str(exc), code=2) from None
-        if args.fn.startswith("poly:") and start == 0 and width == 1:
+        if poly is not None and start == 0 and width == 1:
             # One error coefficient per polynomial coefficient, as many as --K allows.
-            exact = parse_poly_spec(args.fn)
+            exact = poly
             if exact.degree >= MAX_K:
                 raise CliError(f"the exact report needs a polynomial of degree below {MAX_K}, "
                                f"got degree {exact.degree}", code=2)

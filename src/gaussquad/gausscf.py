@@ -16,14 +16,15 @@ recurrence keeps its relative accuracy across (-1, 1) at every order.
 The roots are bracketed by Bruns' separators cos^2(k pi/(m + 1/2)) in
 q = u^2, each proven by its position against bounds on the zeros, with no
 evaluation of W; one outside its interval raises RootIsolationError.
-Newton starts from Tricomi's asymptotic guesses, refined by Newton in
-floats on the same recurrence, and climbs a ladder of decimal precisions,
-so that each node costs about one Newton step and one gate evaluation at
-the working precision; floats propose separators and starts, so a poor
-start costs iterations but never digits, and a poor separator cannot yield
-a root.  Each weight comes from W' at the unrounded final iterate, by the
-Christoffel-Darboux form of V/W', with no V recurrence.  Root isolation
-holds the one mirror of the roots.
+Plain Newton starts from Tricomi's asymptotic guesses, refined by Newton
+in floats on the same recurrence, and climbs a ladder of decimal
+precisions inside each proven bracket, so that each node costs about one
+Newton step and one gate evaluation at the working precision; floats
+propose separators and starts, so a poor start may cost iterations or
+raise RootIsolationError, and a poor separator raises it, but neither can
+yield a wrong root.  Each weight comes from W' at the unrounded final
+iterate, by the Christoffel-Darboux form of V/W', with no V recurrence.
+Root isolation holds the one mirror of the roots.
 
 The small linear-system construction (choose the node polynomial so that
 the first coefficients of the split tail vanish) is also provided; it is
@@ -175,14 +176,14 @@ def _cos2_pi(a: int, b: int) -> Decimal:
     return total * total
 
 
-def _bruns_brackets(m: int, separators: list[float]) -> list[tuple[float, float, int]]:
-    # Brackets (lo, hi, sign of Q at lo) between consecutive separators in q,
-    # where W_m(u) = u^s Q(u^2), once each separator j >= 1 is proven inside
-    # its interval of _bruns_separators, with the ends in q, cos^2, to within
+def _bruns_brackets(m: int, separators: list[float]) -> list[tuple[float, float]]:
+    # Brackets (lo, hi) between consecutive separators in q, where
+    # W_m(u) = u^s Q(u^2), once each separator j >= 1 is proven inside its
+    # interval of _bruns_separators, with the ends in q, cos^2, to within
     # _COS2_ERROR, or else RootIsolationError.  For even m the innermost
     # needs only q > 0, as its theta_(j+1) is past pi/2; separator 0 is q = 1.
-    # Separator j has the j roots cos^2(theta_1), ..., cos^2(theta_j) of the
-    # monic Q above it, so Q has the sign (-1)^j there, with no evaluation.
+    # Separator j has the j roots cos^2(theta_1), ..., cos^2(theta_j) of Q
+    # above it, so each bracket holds exactly one root of Q.
     if len(separators) != m // 2 + 1 or separators[-1] != 1:
         raise RootIsolationError(f"need {m // 2 + 1} separators ending at q = 1")
     brackets = []
@@ -192,7 +193,7 @@ def _bruns_brackets(m: int, separators: list[float]) -> list[tuple[float, float,
             if not bottom < q <= _cos2_pi(j, m + 1) - _COS2_ERROR:
                 raise RootIsolationError(f"separator {j} of order {m}, q = {q!r}, is not "
                                          f"proven to lie between zeros {j} and {j + 1}")
-            brackets.append((q, above, -1 if j % 2 else 1))
+            brackets.append((q, above))
     return brackets
 
 
@@ -235,11 +236,12 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     the requested precision.  Bruns' separators bracket the roots once
     their positions are proven against bounds on the zeros, and Newton
     starts from Tricomi's asymptotic guesses refined by Newton in floats;
-    both come from floats, which may cost time but never digits.  Decimal
-    Newton then climbs a precision ladder to the working precision,
-    evaluating W and W' at decimal points
-    by the continued-fraction recurrence itself, which stays accurate near
-    +-1 where Horner's scheme on the monomial coefficients cancels.  The
+    both come from floats, so a poor one may cost iterations or raise
+    RootIsolationError, but never digits.  Plain decimal Newton then
+    climbs a precision ladder to the working precision inside each
+    bracket, evaluating W and W' at decimal points by the
+    continued-fraction recurrence itself, which stays accurate near +-1
+    where Horner's scheme on the monomial coefficients cancels.  The
     weight at a node comes from the final, unrounded Newton iterate x and
     the W'(x) its residual gate computed, by the Christoffel-Darboux form
     1/((1-x)(1+x) a_m^2 W'(x)^2) with a_m = (2m)!/(2^m m!^2) the leading

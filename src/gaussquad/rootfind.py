@@ -3,18 +3,17 @@
 The polynomials handled here have a definite parity, all roots real and
 simple inside (-1, 1), and at most one root at the origin: W(u) =
 u**s * Q(u**2) with s in {0, 1}.  The caller passes one bracket per root of
-Q in q = u**2, with the sign of Q at its lower end, and proves them: for
-Legendre polynomials, gausscf proves Bruns' separators by their position.
-Each bracket is polished in decimal arithmetic by safeguarded Newton from a
-caller-supplied start, with the caller's evaluation of (W, W'): each
-evaluation narrows the bracket, and a step that would leave it is replaced
-by one bisection step, after which Newton resumes.  Newton climbs a
-precision ladder: it iterates on the lowest rung, at 24 digits or more,
-until its step is below half of them, then takes one step per rung, each
-about twice the one below, up to the working precision, where it iterates
-until the step is negligible; that last evaluation serves the gate below.
-Negative roots come from mirroring, the one use of parity, and a root at
-the origin is exact.
+Q in q = u**2 and proves it: for Legendre polynomials, gausscf proves
+Bruns' separators by their position.  Each root is polished in decimal
+arithmetic by plain Newton from a caller-supplied start, with the caller's
+evaluation of (W, W'), on a precision ladder: Newton iterates on the lowest
+rung, at 24 digits or more, until its step is below half of them, then
+takes one step per rung, each about twice the one below, up to the working
+precision, where it iterates until the step is negligible; that last
+evaluation serves the gate below.  An iterate that leaves its bracket, a
+vanishing W', or a rung that does not settle within a few steps raises
+:class:`RootIsolationError` naming the bracket.  Negative roots come from
+mirroring, the one use of parity, and a root at the origin is exact.
 
 Floats may propose starts, but never decide a result.  The module never
 returns a root r rounded from the final iterate x unless |W(x)/W'(x)| +
@@ -28,15 +27,17 @@ from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from typing import Callable, Sequence
 
-from .numerics import MAX_PRECISION, resolve_precision, round_to, working_context
-
-# Bisection alone needs log2(10) < 3.4 steps per digit.
-_MAX_STEPS = 4 * MAX_PRECISION
+from .numerics import resolve_precision, round_to, working_context
 
 # The lowest rung of the precision ladder has at least this many digits,
 # half again a float's 16, so that Newton from a float start fills it in
 # one or two steps.
 _LOWEST_RUNG = 24
+
+# Evaluations allowed on one rung.  From a float start the lowest rung
+# settles in one or two, and the top rung takes one step and the gate's
+# evaluation; the rest is room for a start from a poor guess.
+_RUNG_STEPS = 8
 
 # evaluate(x) -> (W(x), W'(x)) under the ambient decimal context.
 Evaluator = Callable[[Decimal], tuple[Decimal, Decimal]]
@@ -75,72 +76,55 @@ def _ladder(top: int) -> list[int]:
     return rungs[::-1]
 
 
-def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal, sign_lo: int,
-            tol: Decimal, start: Decimal) -> tuple[Decimal, Decimal, Decimal]:
-    # Safeguarded Newton on [lo, hi], whose ends bracket one sign change of
-    # W, with sign_lo the sign at lo.  Every evaluation shrinks the bracket
-    # to the side that keeps the root; a Newton step that would leave it is
-    # replaced by one bisection step, and Newton resumes from there.  The
-    # iterate stays strictly inside the bracket, so an evaluator is never
-    # asked for a value at a bracket end such as u = 1: the start is clipped
-    # to the inner 7/8 of the bracket.
+def _polish(evaluate: Evaluator, lo: Decimal, hi: Decimal,
+            start: Decimal) -> tuple[Decimal, Decimal, Decimal]:
+    # Plain Newton inside (lo, hi), which the caller has proven to hold one
+    # root of W.  The start is clipped to the inner 7/8 of the bracket, and
+    # every iterate must stay strictly inside it, so an evaluator is never
+    # asked for a value at a bracket end such as u = 1.
     #
     # Evaluations climb _ladder up to the ambient precision.  The lowest
-    # rung iterates until the step is below half its digits, or the bracket
-    # is that narrow; each rung above takes one step.  The top rung
-    # iterates until |W/W'| at the iterate is within six digits of the
-    # ambient precision, and returns (x, W(x), W'(x)) from that evaluation;
-    # a bracket narrower than tol ends it at its midpoint instead.  A root
-    # within rounding of a bracket end, where the Newton step from a
-    # converged iterate lands on the end, is the one case that evaluates
-    # there.
+    # rung iterates until the step is below half its digits; each rung
+    # above takes one step.  The top rung iterates until |W/W'| at the
+    # iterate is within six digits of the ambient precision, and returns
+    # (x, W(x), W'(x)) from that evaluation.
     rungs = _ladder(getcontext().prec)
     top = len(rungs) - 1
     settled = Decimal(1).scaleb(-(rungs[0] // 2))
     converged = Decimal(1).scaleb(6 - rungs[top])
-    rung = 0
     margin = (hi - lo) / 16
     x = min(max(start, lo + margin), hi - margin)
-    for _ in range(_MAX_STEPS):
+    rung = steps = 0
+    while True:
+        if steps == _RUNG_STEPS:
+            raise RootIsolationError(f"Newton did not settle in {_RUNG_STEPS} steps at "
+                                     f"{rungs[rung]} digits", bracket=(lo, hi))
+        steps += 1
         with localcontext() as ctx:
             ctx.prec = rungs[rung]
             fx, dfx = evaluate(x)
-            step = fx / dfx if dfx != 0 else None
-            if rung == top and step is not None and abs(step) <= converged:
+            if dfx == 0:
+                raise RootIsolationError(f"W' vanished at the Newton iterate {x}",
+                                         bracket=(lo, hi))
+            step = fx / dfx
+            if rung == top and abs(step) <= converged:
                 return x, fx, dfx
-            # A sign taken within the rung's rounding noise of the root may
-            # be wrong, and would then move a bracket end past the root.
-            if fx != 0 and (step is None or abs(step) > Decimal(1).scaleb(4 - ctx.prec)):
-                if (fx > 0) == (sign_lo > 0):
-                    lo = x
-                else:
-                    hi = x
-            if step is not None and (lo < x - step < hi or (rung == top and abs(step) <= tol
-                                                            and lo <= x - step <= hi)):
-                x -= step
-            elif rung == top and hi - lo <= tol:
-                break
-            else:
-                step = None
-                x = (lo + hi) / 2
-            if rung < top and (rung > 0 or hi - lo <= settled
-                               or (step is not None and abs(step) <= settled)):
-                rung += 1
-    else:
-        raise RootIsolationError("safeguarded Newton did not converge", bracket=(lo, hi))
-    x = (lo + hi) / 2
-    return (x, *evaluate(x))
+            x -= step
+        if not lo < x < hi:
+            raise RootIsolationError(f"a Newton step left the bracket, to {x}", bracket=(lo, hi))
+        if rung < top and (rung > 0 or abs(step) <= settled):
+            rung, steps = rung + 1, 0
 
 
 def real_roots_symmetric(parity: int, prec: int | None, evaluate: Evaluator, *,
-                         brackets: Sequence[tuple[float, float, int]],
+                         brackets: Sequence[tuple[float, float]],
                          starts: Sequence[Decimal]) -> RootSet:
     """All real roots of W(u) = u**parity * Q(u**2), one root of Q per bracket.
 
-    ``brackets`` are triples (lo, hi, sign of Q at lo) in q = u**2, rising in
-    [0, 1], with ends that Decimal takes exactly; the caller proves that each
-    holds exactly one root of Q.  ``starts``, one per bracket, start Newton
-    in the u-image of their bracket.  ``evaluate(x)`` returns (W(x), W'(x))
+    ``brackets`` are pairs (lo, hi) in q = u**2, rising in [0, 1], with ends
+    that Decimal takes exactly; the caller proves that each holds exactly
+    one root of Q.  ``starts``, one per bracket, start Newton in the u-image
+    of their bracket, which every iterate must keep strictly inside.  ``evaluate(x)`` returns (W(x), W'(x))
     under the ambient context, which Newton sets to each rung of its ladder;
     it must keep its relative accuracy near the roots, which Horner's scheme
     on the monomial coefficients does not at large degree.  The roots rise
@@ -157,13 +141,8 @@ def real_roots_symmetric(parity: int, prec: int | None, evaluate: Evaluator, *,
     positives: list[tuple[Decimal, Decimal, Decimal]] = []
     residual = Decimal(0)
     with localcontext(working_context(prec)):
-        for (qlo, qhi, sign_lo), start in zip(brackets, starts):
-            # Sign of W on (0,1) matches the sign of Q at the q-bracket ends.
-            x, fx, dfx = _polish(evaluate, Decimal(qlo).sqrt(), Decimal(qhi).sqrt(),
-                                 sign_lo, tol, start)
-            if dfx == 0:
-                raise RootIsolationError("derivative vanished at a computed root",
-                                         bracket=(qlo, qhi))
+        for (qlo, qhi), start in zip(brackets, starts):
+            x, fx, dfx = _polish(evaluate, Decimal(qlo).sqrt(), Decimal(qhi).sqrt(), start)
             root = round_to(x, prec)
             residual = max(residual, abs(fx / dfx) + abs(root - x))
             positives.append((root, x, dfx))

@@ -292,6 +292,18 @@ class TestIntegrate:
                                "--width", "2")
         assert code == 0 and "exact" not in out
 
+    def test_poly_spec_is_parsed_once(self, capsys):
+        # The one parsed polynomial is both the integrand and the exact
+        # report's; the count covers the reader wherever a module bound it.
+        from gaussquad import cli, interprule
+
+        parse = mock.Mock(wraps=interprule.parse_poly_spec)
+        with mock.patch.object(cli, "parse_poly_spec", parse), \
+                mock.patch.object(interprule, "parse_poly_spec", parse):
+            code, out, _ = run_cli(capsys, "integrate", "--n", "3", "--fn", "poly:1,2,3")
+        assert code == 0 and "exact_error=" in out
+        assert parse.call_count == 1
+
     @pytest.mark.parametrize("limit, q_digits", [(4300, 901), (640, 151)])
     def test_unprintable_exact_report_is_a_data_error(self, capsys, int_digit_limit,
                                                        limit, q_digits):

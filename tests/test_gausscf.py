@@ -304,6 +304,33 @@ def _polish_counts(monkeypatch) -> list[int]:
     return counts
 
 
+def _rung_counts(monkeypatch) -> Counter:
+    # Decimal evaluations of (W, W') per precision, counted on every
+    # evaluator gauss_rule builds, the mirror's evaluation at 0 included.
+    rungs: Counter = Counter()
+    build = gausscf._decimal_evaluator
+
+    def counting(m):
+        evaluate = build(m)
+
+        def wrapped(x):
+            rungs[getcontext().prec] += 1
+            return evaluate(x)
+
+        return wrapped
+
+    monkeypatch.setattr(gausscf, "_decimal_evaluator", counting)
+    return rungs
+
+
+# Decimal evaluations per rung of the precision ladder, pinned: a change to
+# the starts, the ladder or the polisher that costs work shows here.
+RUNG_COUNTS = {
+    (100, 50): {34: 87, 60: 101},
+    (12, 1000): {39: 12, 70: 6, 133: 6, 258: 6, 509: 6, 1010: 13},
+}
+
+
 class TestLargeOrders:
     """Orders past the monomial-Horner limit (n = 49 at precision 50), where
     the recurrence-evaluated polish must still deliver every digit."""
@@ -334,9 +361,11 @@ class TestLargeOrders:
     @pytest.mark.parametrize("n, prec", [(100, 50), (12, 1000)])
     def test_evaluations_per_root(self, monkeypatch, n, prec):
         counts = _polish_counts(monkeypatch)
+        rungs = _rung_counts(monkeypatch)
         gauss_rule(n, prec)
         assert len(counts) == (n + 1) // 2
         assert max(counts) <= 12
+        assert rungs == RUNG_COUNTS[n, prec]
 
     @pytest.mark.parametrize("n", [151, 175, 199, 299, 599])
     def test_orders_past_the_isolation_grid(self, n):

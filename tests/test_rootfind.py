@@ -1,5 +1,5 @@
-"""Root extraction: Bruns brackets proven by position, Newton polishing,
-the residual gate and the mirror."""
+"""Root extraction: Bruns brackets proven by position, plain Newton
+polishing inside them, the residual gate and the mirror."""
 
 import math
 from decimal import Context, Decimal, localcontext
@@ -19,6 +19,7 @@ from gaussquad.gausscf import (
 from gaussquad.numerics import format_sig, working_context
 from gaussquad.ratpoly import RatPoly
 from gaussquad.rootfind import (
+    _RUNG_STEPS,
     RootIsolationError,
     _ladder,
     _polish,
@@ -57,7 +58,7 @@ def _legendre_roots(m: int, prec: int = 50, *, evaluate=None, starts=None):
 
 class TestSmallCases:
     def test_two_point(self):
-        got = _toy_roots(RatPoly((F(-1, 3), 0, 1)), [(0, 0.5, -1)], ["0.5"])
+        got = _toy_roots(RatPoly((F(-1, 3), 0, 1)), [(0, 0.5)], ["0.5"])
         want = newton_sqrt(F(1, 3), 50)
         assert len(got.roots) == 2
         assert abs(got.roots[1] - want) < Decimal("1e-45")
@@ -65,7 +66,7 @@ class TestSmallCases:
         assert format_sig(got.roots[1], 16) == "0.5773502691896258"
 
     def test_odd_case_has_exact_origin(self):
-        got = _toy_roots(RatPoly((0, F(-3, 5), 0, 1)), [(0.5, 1, -1)], ["0.77"])
+        got = _toy_roots(RatPoly((0, F(-3, 5), 0, 1)), [(0.5, 1)], ["0.77"])
         assert got.roots[1] == 0
         want = newton_sqrt(F(3, 5), 50)
         assert abs(got.roots[2] - want) < Decimal("1e-45")
@@ -120,22 +121,41 @@ class TestPolish:
     def test_ladder_doubles_up_to_the_working_precision(self, top, rungs):
         assert _ladder(top) == rungs
 
-    def test_step_leaving_the_bracket_costs_one_bisection(self):
+    def test_step_leaving_the_bracket_raises(self):
         # x^3 - 2x + 2 on [-2, 1/2]: from the start -3/4, Newton jumps to
-        # about 9.1.  One bisection step replaces it and Newton resumes, where
-        # bisecting the whole bracket down to 1e-45 would take 150 steps.
+        # about 9.1.  The bracket is the caller's proof of one root, so the
+        # jump ends the search after one evaluation, naming the bracket.
         calls = []
 
         def evaluate(x):
             calls.append(x)
             return x ** 3 - 2 * x + 2, 3 * x * x - 2
 
-        with localcontext(Context(prec=60)):
-            root, _, _ = _polish(evaluate, Decimal(-2), Decimal("0.5"), -1, Decimal("1e-45"),
-                                 Decimal("-0.75"))
-            assert abs(root ** 3 - 2 * root + 2) < Decimal("1e-44")
-        assert calls[1] == (Decimal(-2) + Decimal("-0.75")) / 2
-        assert len(calls) <= 12
+        with localcontext(Context(prec=60)), \
+                pytest.raises(RootIsolationError, match=r"left the bracket.*\(bracket"):
+            _polish(evaluate, Decimal(-2), Decimal("0.5"), Decimal("-0.75"))
+        assert calls == [Decimal("-0.75")]
+
+    def test_vanishing_derivative_raises(self):
+        with localcontext(Context(prec=60)), \
+                pytest.raises(RootIsolationError, match=r"W' vanished.*\(bracket"):
+            _polish(lambda x: (x - Decimal("0.3"), Decimal(0)), Decimal("0.1"),
+                    Decimal("0.9"), Decimal("0.5"))
+
+    def test_unsettled_newton_raises_within_the_rung_budget(self):
+        # From 0, Newton on x^3 - 2x + 2 cycles exactly between 0 and 1,
+        # inside (-1/2, 3/2): the lowest rung spends its budget and raises.
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return x ** 3 - 2 * x + 2, 3 * x * x - 2
+
+        with localcontext(Context(prec=60)), \
+                pytest.raises(RootIsolationError, match=r"did not settle.*\(bracket"):
+            _polish(evaluate, Decimal("-0.5"), Decimal("1.5"), Decimal(0))
+        assert len(calls) == _RUNG_STEPS
+        assert set(calls) == {0, 1}
 
     def test_custom_evaluator_is_used(self):
         w = legendre_pair(6).denominator
@@ -154,25 +174,41 @@ class TestPolish:
 
 
 class TestPolishStarts:
-    @pytest.mark.parametrize("start", ["-5", "0.1", "0.1000001", "0.5", "0.8999999", "0.9", "7"])
-    def test_far_or_outside_start_still_converges(self, start):
-        # The root of x^2 - 1/3 in [0.1, 0.9], from starts at, near and
-        # beyond both bracket ends.
+    @staticmethod
+    def _third_root(start: str):
+        # The root of x^2 - 1/3 in (0.1, 0.9), from a start that is clipped
+        # to the inner 7/8 of the bracket, [0.15, 0.85].
         def evaluate(x):
             assert Decimal("0.1") < x < Decimal("0.9")
             return x * x - third, 2 * x
 
         with localcontext(Context(prec=60)):
             third = Decimal(1) / 3
-            root, _, _ = _polish(evaluate, Decimal("0.1"), Decimal("0.9"), -1, Decimal("1e-45"),
-                                 Decimal(start))
+            return _polish(evaluate, Decimal("0.1"), Decimal("0.9"), Decimal(start))[0]
+
+    @pytest.mark.parametrize("start", ["0.5", "0.8999999", "0.9", "7"])
+    def test_far_or_outside_start_still_converges(self, start):
+        root = self._third_root(start)
         assert abs(root - newton_sqrt(F(1, 3), 55)) < Decimal("1e-45")
 
-    @pytest.mark.parametrize("bad", ["0", "0.99999", "-3"])
+    @pytest.mark.parametrize("start", ["-5", "0.1", "0.1000001"])
+    def test_start_that_newton_carries_out_of_its_bracket_raises(self, start):
+        # From 0.15, Newton jumps to about 1.19, past the bracket's upper end.
+        with pytest.raises(RootIsolationError, match=r"left the bracket.*\(bracket"):
+            self._third_root(start)
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_bad_starts_cost_time_not_digits(self, bad):
+        # Clipped to the lower end of every bracket, Newton still converges
+        # in each of the 15 brackets of order 30.
         got = _legendre_roots(30, starts=[Decimal(bad)] * 15)
         for a, b in zip(got.roots, legendre_nodes(30, 50), strict=True):
             assert abs(a - b) <= Decimal("1e-48")
+
+    def test_bad_start_raises_rather_than_costing_digits(self):
+        # Clipped to the upper end of each bracket, Newton leaves the innermost.
+        with pytest.raises(RootIsolationError, match="left the bracket"):
+            _legendre_roots(30, starts=[Decimal("0.99999")] * 15)
 
     def test_one_start_per_positive_root(self):
         with pytest.raises(ValueError, match="starts"):
@@ -224,7 +260,7 @@ class TestSeparators:
             seps = _bruns_separators(m)
             brackets = _bruns_brackets(m, seps)
             assert legendre_q_signs(m, seps) == _signs(m), m
-            assert brackets == list(zip(seps, seps[1:], _signs(m))), m
+            assert brackets == list(zip(seps, seps[1:])), m
 
     @pytest.mark.parametrize("m", [299, 300, 451, 600])
     def test_bruns_separators_certify_at_large_orders(self, m):
@@ -292,10 +328,10 @@ class TestSeparators:
         with pytest.raises(RootIsolationError):
             gauss_rule(39)
 
-    def test_certified_points_give_signed_brackets(self):
+    def test_certified_points_give_brackets(self):
         seps = _bruns_separators(4)
         assert seps == [math.cos(j * math.pi / 4.5) ** 2 for j in (2, 1, 0)]
-        assert _bruns_brackets(4, seps) == [(seps[0], seps[1], 1), (seps[1], 1.0, -1)]
+        assert _bruns_brackets(4, seps) == [(seps[0], seps[1]), (seps[1], 1.0)]
 
     def test_interval_check_accepts_every_separator_at_order_10000(self):
         # The tight margin, next to q = 1, is about pi^2/m^3 = 9.9e-12 here.
@@ -327,22 +363,42 @@ class TestRejection:
         # u^2 + 1 has no root in the claimed bracket; the residual gate refuses
         # what Newton ends on.
         with pytest.raises(RootIsolationError):
-            _toy_roots(RatPoly((1, 0, 1)), [(0, 1, -1)], ["0.5"])
+            _toy_roots(RatPoly((1, 0, 1)), [(0, 1)], ["0.5"])
 
     def test_roots_outside_interval_detected(self):
         with pytest.raises(RootIsolationError):
-            _toy_roots(RatPoly((-4, 0, 1)), [(0, 1, -1)], ["0.5"])  # roots at +-2
+            _toy_roots(RatPoly((-4, 0, 1)), [(0, 1)], ["0.5"])  # roots at +-2
 
     @pytest.mark.parametrize("m", [57, 81])
     def test_lost_digits_raise(self, m):
-        # Horner on the monomial coefficients cancels near +-1 for large m;
-        # the residual at the rounded roots then exceeds 1e-45 and must not
-        # be returned as if certified.
-        with pytest.raises(RootIsolationError, match="residual"):
+        # Horner on the monomial coefficients cancels near +-1 for large m:
+        # Newton's step never falls below the rounding noise, or the
+        # residual at the rounded roots exceeds 1e-45.  Either way the roots
+        # must not be returned as if certified.
+        with pytest.raises(RootIsolationError, match="residual|bracket"):
             _legendre_roots(m, evaluate=_horner(legendre_pair(m).denominator))
 
-    def test_boundary_roots_detected(self):
-        # Roots at +-sqrt(1 - 1e-60), which round to +-1 at 50 digits.
+    def test_boundary_root_leaves_the_bracket_at_once(self):
+        # x^2 - (1 - 1e-60), convex: from 0.5 Newton overshoots the root
+        # just below 1, past the bracket end, after one evaluation rather
+        # than a bisection per bit down to the root.
         poly = RatPoly((-(1 - F(1, 10**60)), 0, 1))
+        horner, calls = _horner(poly), []
+
+        def evaluate(x):
+            calls.append(x)
+            return horner(x)
+
+        with pytest.raises(RootIsolationError, match="left the bracket"):
+            real_roots_symmetric(0, 50, evaluate, brackets=[(0, 1)], starts=[Decimal("0.5")])
+        assert calls == [Decimal("0.5")]
+
+    def test_boundary_roots_detected(self):
+        # -u^4 + 4u^2 + (1 + e)^2 - 4 has roots in q = u^2 at 1 - e and
+        # 3 + e; near u = 1 it is concave and rising, so Newton from below
+        # stays below the root, which rounds to +-1 at 50 digits for
+        # e = 1e-54.
+        e = F(1, 10**54)
+        poly = RatPoly(((1 + e) ** 2 - 4, 0, 4, 0, -1))
         with pytest.raises(RootIsolationError, match="open interval"):
-            _toy_roots(poly, [(0, 1, -1)], ["0.5"])
+            _toy_roots(poly, [(0.5, 1)], ["0.99"])
