@@ -10,21 +10,30 @@ weight at node b is V(b) / W'(b).
 
 The exact polynomials V and W are the rule's exact outputs.  Its decimal
 nodes come from evaluating W and W' at decimal points by the recurrence
-itself, with the v(k) rounded once per precision: unlike Horner's scheme
-on the expanded coefficients of W, which cancel near u = +-1, the
-recurrence keeps its relative accuracy across (-1, 1) at every order.
-The roots are bracketed by Bruns' separators cos^2(k pi/(m + 1/2)) in
-q = u^2, each proven by its position against bounds on the zeros, with no
-evaluation of W; one outside its interval raises RootIsolationError.
-Plain Newton starts from Tricomi's asymptotic guesses, refined by Newton
-in floats on the same recurrence, and climbs a ladder of decimal
-precisions inside each proven bracket, so that each node costs about one
-Newton step and one gate evaluation at the working precision; floats
-propose separators and starts, so a poor start may cost iterations or
-raise RootIsolationError, and a poor separator raises it, but neither can
-yield a wrong root.  Each weight comes from W' at the unrounded final
-iterate, by the Christoffel-Darboux form of V/W', with no V recurrence.
-Root isolation holds the one mirror of the roots.
+itself, in q = u^2: the recurrence has no diagonal term, so its even
+contraction X(k+2) = (q + v(k) + v(k+1)) X(k) - v(k-1) v(k) X(k-2) takes
+two degrees per step, with W(u) = E(q) for even degree and u Y(q) for odd.
+Its coefficients are rounded once per precision, or above 150 digits
+taken as ratios of small integers.  Unlike Horner's scheme on the expanded
+coefficients of W, which cancel near u = +-1, it keeps its relative
+accuracy there.  Near u = 0 its characteristic roots merge, and the
+Newton step W/W' loses up to three of the ten guard digits: at 60 digits
+and 1e-30 off the smallest root it errs by 1.6e-59 at order 300 and
+1.2e-58 at order 1,000, against 2e-61 near u = 1, where the recurrence in
+u erred by at most 1.7e-61 at every root sampled.  At u = 0 itself the
+values come from exact products instead.  The roots are bracketed by
+Bruns' separators cos^2(k pi/(m + 1/2)) in q = u^2, each proven by its
+position against bounds on the zeros, with no evaluation of W; one
+outside its interval raises RootIsolationError.  Plain Newton starts from
+Tricomi's asymptotic guesses, refined by Newton in floats on the
+recurrence in u, which keeps the starts' last bits near u = 0, and climbs
+a ladder of decimal precisions inside each proven bracket, so that each
+node costs about one Newton step and one gate evaluation at the working
+precision; floats propose separators and starts, so a poor start may
+cost iterations or raise RootIsolationError, and a poor separator raises
+it, but neither can yield a wrong root.  Each weight comes from W' at the
+unrounded final iterate, by the Christoffel-Darboux form of V/W', with no
+V recurrence.  Root isolation holds the one mirror of the roots.
 
 The small linear-system construction (choose the node polynomial so that
 the first coefficients of the split tail vanish) is also provided; it is
@@ -102,33 +111,104 @@ def legendre_pair(m: int) -> LegendrePair:
     return _chain[m]
 
 
-def _denominator_and_derivative(x, v):
-    # (W(x), W'(x)) for the monic Legendre W of degree m = len(v) + 1, in
-    # the arithmetic of x and v: floats, or decimals under the ambient
-    # context.  W comes from W(k+1) = x*W(k) + v(k)*W(k-1) with W(0) = 1 and
-    # W(1) = x.  The derivative comes from (1-x^2) P_m' = m (P_(m-1) - x P_m)
-    # written for the monic W_m = P_m/a_m, where a_(m-1)/a_m = m/(2m-1);
-    # the factor (1-x)(1+x) keeps its relative accuracy near the ends,
-    # where 1-x*x would cancel.
-    m = len(v) + 1
-    w_prev, w = type(x)(1), x
+def _derivative(m, x, w, w_prev):
+    # W_m'(x) from W_m(x) and W_(m-1)(x), in the arithmetic of x: floats, or
+    # decimals under the ambient context.  It is (1-x^2) P_m' = m (P_(m-1) -
+    # x P_m) written for the monic W_m = P_m/a_m, where a_(m-1)/a_m =
+    # m/(2m-1); the factor (1-x)(1+x) keeps its relative accuracy near the
+    # ends, where 1-x*x would cancel.
+    return m * (w_prev * m / (2 * m - 1) - x * w) / ((1 - x) * (1 + x))
+
+
+def _float_denominator_and_derivative(x: float, v: list[float]) -> tuple[float, float]:
+    # (W(x), W'(x)) in floats for the monic Legendre W of degree m =
+    # len(v) + 1, by W(k+1) = x*W(k) + v(k)*W(k-1) with W(0) = 1 and
+    # W(1) = x.  The contracted recurrence in q = x^2 would lose the float
+    # starts' last bits near x = 0, where its characteristic roots merge.
+    w_prev, w = 1.0, x
     for vk in v:
         w_prev, w = w, x * w + vk * w_prev
-    return w, m * (w_prev * m / (2 * m - 1) - x * w) / ((1 - x) * (1 + x))
+    return w, _derivative(len(v) + 1, x, w, w_prev)
+
+
+# Above this many digits, each step of the contracted recurrence multiplies
+# by its coefficients as ratios of small integers, one full-length product
+# per step; at or below it, by the coefficients rounded once per rung, where
+# the short factors were slower (0.5-0.8 times the speed at 34-60 digits).
+_SHORT_FACTOR_DIGITS = 150
+
+# The contraction's starting values, built once rather than per evaluation.
+_ZERO, _ONE = Decimal(0), Decimal(1)
+
+
+def _contracted_step(k: int) -> tuple[int, int, int]:
+    # (a, b, c) with s(k) = v(k) + v(k+1) = a/c and d(k) = -v(k-1) v(k) =
+    # b/c, from the closed forms s(k) = -(4k^3 + 6k^2 - 1)/((2k-1)(2k+1)(2k+3))
+    # and d(k) = -(k-1)^2 k^2/((2k-3)(2k-1)^2 (2k+1)), which hold at k = 0
+    # with v(0) = 0.
+    c = (2 * k - 3) * (2 * k - 1) ** 2 * (2 * k + 1) * (2 * k + 3)
+    a = -(4 * k ** 3 + 6 * k * k - 1) * (2 * k - 3) * (2 * k - 1)
+    b = -((k - 1) * k) ** 2 * (2 * k + 3)
+    return a, b, c
+
+
+def _denominator_and_derivative(x: Decimal, rung: tuple) -> tuple[Decimal, Decimal]:
+    # (W(x), W'(x)) for the monic Legendre W of degree m under the ambient
+    # context.  The recurrence X(k+1) = u*X(k) + v(k)*X(k-1) has no
+    # diagonal term, so two of its steps fold into one in q = x^2, its even
+    # contraction: X(k+2) = (q + s(k))*X(k) + d(k)*X(k-2).  rung is
+    # (m, v(m-1) rounded, steps, short), one step per two degrees: (s, d)
+    # rounded or, when short, the integers (a, b, c) with s = a/c and
+    # d = b/c.  From X = 1 and X(k-2) = 0 at k = m mod 2, m//2 steps give
+    # W = E(q) for even m and W = x*Y(q) for odd m.  W' comes from W and
+    # W_(m-1), which is Y - v(m-1)*Y_prev for odd m and
+    # (E - v(m-1)*E_prev)/x for even m; at a root the first term vanishes,
+    # so the difference does not cancel.  Near x = 0 the characteristic
+    # roots of the contraction merge, and the step W/W' loses up to three
+    # of the ten guard digits at m = 1,000; at x = 0 itself, where W(0) and
+    # W'(0) would lose four, they come from the products
+    # W_2j(0) = v(1) v(3) ... v(2j-1), exact and rounded once.
+    m, v_last, steps, short = rung
+    if not x:
+        num, den = 1, 1
+        for i in range(1, m // 2 + 1):
+            num, den = -num * (2 * i - 1) ** 2, den * (4 * i - 3) * (4 * i - 1)
+        if m % 2:
+            return _ZERO, Decimal(num * m * m) / (den * (2 * m - 1))
+        return Decimal(num) / den, _ZERO
+    q = x * x
+    prev, cur = _ZERO, _ONE
+    if short:
+        for a, b, c in steps:
+            prev, cur = cur, q * cur + (cur * a + prev * b) / c
+    else:
+        for s, d in steps:
+            prev, cur = cur, (q + s) * cur + d * prev
+    below = cur - v_last * prev
+    if m % 2:
+        w = x * cur
+        return w, _derivative(m, x, w, below)
+    return cur, _derivative(m, x, cur, below / x)
 
 
 def _decimal_evaluator(m: int):
-    # (W, W') of degree m by the recurrence under the ambient context, with
-    # the v(k) rounded once for each precision that asks: once per rung of
-    # the root finder's ladder.
-    rounded: dict[int, list[Decimal]] = {}
+    # (W, W') of degree m by the contracted recurrence under the ambient
+    # context.  The integer coefficients are built once; for each precision
+    # that asks, once per rung of the root finder's ladder, v(m-1) and, at
+    # or below _SHORT_FACTOR_DIGITS, the steps (s, d) are rounded once.
+    steps = [_contracted_step(k) for k in range(m % 2, m - 1, 2)]
+    rungs: dict[int, tuple] = {}
 
     def evaluate(x: Decimal) -> tuple[Decimal, Decimal]:
         prec = getcontext().prec
-        v = rounded.get(prec)
-        if v is None:
-            v = rounded[prec] = [_as_decimal(cf_coefficient(k)) for k in range(1, m)]
-        return _denominator_and_derivative(x, v)
+        rung = rungs.get(prec)
+        if rung is None:
+            v_last = Decimal(-(m - 1) ** 2) / ((2 * m - 3) * (2 * m - 1))
+            short = prec > _SHORT_FACTOR_DIGITS
+            coefficients = steps if short else [(Decimal(a) / c, Decimal(b) / c)
+                                                for a, b, c in steps]
+            rung = rungs[prec] = (m, v_last, coefficients, short)
+        return _denominator_and_derivative(x, rung)
 
     return evaluate
 
@@ -207,10 +287,10 @@ def _float_starts(m: int, separators: list[float]) -> list[Decimal]:
     # Tricomi's asymptotic guess (1 - 1/(8m^2) + 1/(8m^3)) cos(pi (4k-1)/(4m+2))
     # for the k-th largest zero, clipped into the float image of its
     # bracket between separators and refined there by Newton in floats on
-    # the same recurrence.  A step that would leave the bracket, or a value
+    # the recurrence in u.  A step that would leave the bracket, or a value
     # that under- or overflows, stops the refinement; floats only propose.
     scale = 1 - 1 / (8 * m * m) + 1 / (8 * m ** 3)
-    v = [float(cf_coefficient(k)) for k in range(1, m)]
+    v = [-k * k / ((2 * k - 1) * (2 * k + 1)) for k in range(1, m)]
     ends = [math.sqrt(q) for q in separators]
     starts = []
     for k, lo, hi in zip(range(m // 2, 0, -1), ends, ends[1:]):
@@ -218,7 +298,7 @@ def _float_starts(m: int, separators: list[float]) -> list[Decimal]:
         for _ in range(_FLOAT_STEPS):
             if not lo < x < hi:
                 break
-            w, dw = _denominator_and_derivative(x, v)
+            w, dw = _float_denominator_and_derivative(x, v)
             if not dw:
                 break
             x_new = x - w / dw
@@ -240,10 +320,11 @@ def gauss_rule(n: int, prec: int | None = None, convention: str = U11) -> QuadRu
     RootIsolationError, but never digits.  Plain decimal Newton then
     climbs a precision ladder to the working precision inside each
     bracket, evaluating W and W' at decimal points by the
-    continued-fraction recurrence itself, which stays accurate near +-1
-    where Horner's scheme on the monomial coefficients cancels.  The
-    weight at a node comes from the final, unrounded Newton iterate x and
-    the W'(x) its residual gate computed, by the Christoffel-Darboux form
+    continued-fraction recurrence itself, contracted to two degrees per
+    step in q = u^2, which stays accurate near +-1 where Horner's scheme on
+    the monomial coefficients cancels.  The weight at a node comes from the
+    final, unrounded Newton iterate x and the W'(x) its residual gate
+    computed, by the Christoffel-Darboux form
     1/((1-x)(1+x) a_m^2 W'(x)^2) with a_m = (2m)!/(2^m m!^2) the leading
     coefficient of P_m and m = n+1; it equals V/W' at the node, the half
     measure's 1/((1-x^2) P_m'(x)^2).  The form is even in x and in W', so

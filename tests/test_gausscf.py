@@ -392,12 +392,18 @@ class TestLargeOrders:
         # precision, and each weight added a V recurrence.
         calls = Counter()
         exact = gausscf._denominator_and_derivative
+        exact_float = gausscf._float_denominator_and_derivative
 
-        def counting(x, v):
-            calls["float" if isinstance(x, float) else getcontext().prec] += 1
-            return exact(x, v)
+        def counting(x, coefficients):
+            calls[getcontext().prec] += 1
+            return exact(x, coefficients)
+
+        def counting_float(x, v):
+            calls["float"] += 1
+            return exact_float(x, v)
 
         monkeypatch.setattr(gausscf, "_denominator_and_derivative", counting)
+        monkeypatch.setattr(gausscf, "_float_denominator_and_derivative", counting_float)
         gauss_rule(100, 50)
         full = calls.pop(working_context(50).prec)
         floats = calls.pop("float")
@@ -410,16 +416,57 @@ class TestLargeOrders:
         # Decimal derivatives off by one part in 1e40 leave the nodes alone
         # but move the weights; the rule's own check catches what QuadRule's
         # fixed 1e-25 tolerance would let through.  The float starts, which
-        # one part in 1e40 cannot move, are left exact.
+        # one part in 1e40 cannot move, have their own evaluator and are left
+        # exact.  At precision 200 the top rung takes the short factors.
         exact = gausscf._denominator_and_derivative
 
-        def skewed(x, v):
-            w, dw = exact(x, v)
-            return (w, dw) if isinstance(x, float) else (w, dw * (1 + Decimal("1e-40")))
+        def skewed(x, coefficients):
+            w, dw = exact(x, coefficients)
+            return w, dw * (1 + Decimal("1e-40"))
 
         monkeypatch.setattr(gausscf, "_denominator_and_derivative", skewed)
-        with pytest.raises(ArithmeticError, match="unit mass"):
-            gauss_rule(20, 50)
+        for prec in (50, 200):
+            with pytest.raises(ArithmeticError, match="unit mass"):
+                gauss_rule(20, prec)
+
+
+def _root_near(m: int, x: Decimal, prec: int) -> Decimal:
+    # The root of P_m next to x, a float start, by Newton on the oracle's
+    # u-form recurrence with ten more digits, rounded to prec digits.
+    with localcontext(Context(prec=prec + 10)):
+        step = 1
+        while abs(step) > Decimal(1).scaleb(-(prec + 5)):
+            p, dp = legendre_eval(m, x)
+            step = p / dp
+            x -= step
+    with localcontext(Context(prec=prec)):
+        return +x
+
+
+class TestContractedEvaluator:
+    """The decimal evaluator, the even contraction of the recurrence in
+    q = u**2, against the exact (W, W') of legendre_pair at the precisions of
+    the ladder's rungs, 210 digits taking the short integer factors."""
+
+    @pytest.mark.parametrize("m", [*range(1, 41), 101, 300])
+    def test_against_exact_values(self, m):
+        w_exact = legendre_pair(m).denominator
+        dw_exact = w_exact.derivative()
+        starts = gausscf._float_starts(m, gausscf._bruns_separators(m))
+        for prec in (34, 60, 210):
+            evaluate = gausscf._decimal_evaluator(m)
+            # The smallest and the largest positive root, and mid-interval.
+            points = [_root_near(m, x, prec) for x in starts[:1] + starts[-1:]]
+            with localcontext(Context(prec=prec)):
+                # At u = 0 both values are exact, rounded once, so W'(0) = 0
+                # for even m; a division by u there would raise.
+                w, dw = evaluate(Decimal(0))
+                assert w == Decimal(w_exact.eval(0).numerator) / w_exact.eval(0).denominator
+                assert dw == Decimal(dw_exact.eval(0).numerator) / dw_exact.eval(0).denominator
+                for x in [*points, Decimal("0.5")]:
+                    w, dw = evaluate(x)
+                    step = w_exact.eval(F(x)) / dw_exact.eval(F(x))
+                    assert abs(F(w) / F(dw) - step) <= F(10) ** (3 - prec)
 
 
 def _misrounded(nodes, poly: RatPoly, prec: int) -> list[Decimal]:
@@ -564,6 +611,21 @@ def test_large_order_rules_fingerprint():
     for n in (299, 599, 999):
         h.update(repr(gauss_rule(n, 50)).encode())
     assert h.hexdigest() == LARGE_FINGERPRINT
+
+
+# sha256 over repr(gauss_rule(n, p)) in the u- and then the t-convention for
+# precisions 200 and 1000, whose top rungs take the short integer factors, as
+# the rules came when the evaluator ran the u-form recurrence on rounded v(k).
+HIGH_PRECISION_RULES = ((28, 200), (96, 200), (12, 1000), (48, 1000), (96, 1000))
+HIGH_PRECISION_FINGERPRINT = "8805e4a9afe5da71bb8d6a70729a0faf50a747e09385f9332260279b8daefd98"
+
+
+def test_high_precision_rules_fingerprint():
+    h = hashlib.sha256()
+    for n, prec in HIGH_PRECISION_RULES:
+        for convention in (U11, T01):
+            h.update(repr(gauss_rule(n, prec, convention)).encode())
+    assert h.hexdigest() == HIGH_PRECISION_FINGERPRINT
 
 
 class TestLeadingErrorConstant:
