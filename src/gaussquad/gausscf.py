@@ -13,18 +13,18 @@ nodes come from evaluating W and W' at decimal points by the recurrence
 itself, in q = u^2: the recurrence has no diagonal term, so its even
 contraction X(k+2) = (q + v(k) + v(k+1)) X(k) - v(k-1) v(k) X(k-2) takes
 two degrees per step, with W(u) = E(q) for even degree and u Y(q) for odd.
-Its coefficients are rounded once per precision, or above 150 digits
-taken as ratios of small integers.  Unlike Horner's scheme on the expanded
-coefficients of W, which cancel near u = +-1, it keeps its relative
-accuracy there.  Near u = 0 its characteristic roots merge, and the
-Newton step W/W' loses up to three of the ten guard digits: at 60 digits
-and 1e-30 off the smallest root it errs by 1.6e-59 at order 300 and
-1.2e-58 at order 1,000, against 2e-61 near u = 1, where the recurrence in
-u erred by at most 1.7e-61 at every root sampled.  At u = 0 itself the
-values come from exact products instead.  The roots are bracketed by
-Bruns' separators cos^2(k pi/(m + 1/2)) in q = u^2, each proven by its
-position against bounds on the zeros, with no evaluation of W; one
-outside its interval raises RootIsolationError.  Plain Newton starts from
+Its coefficients are rounded once per precision.  Unlike Horner's scheme
+on the expanded coefficients of W, which cancel near u = +-1, it keeps its
+relative accuracy there.  Near u = 0 its characteristic roots merge, and
+the Newton step W/W' loses up to three of the ten guard digits: at 60
+digits, at the smallest positive root and 1e-30 to either side, it errs by
+up to 1.6e-59 at order 300 and 4.6e-59 at orders 999 and 1,000, against at
+most 2.2e-61 at the largest root, where the recurrence in u erred by at
+most 1.4e-61 at both roots.  At u = 0 itself the values come from exact
+products instead.  The roots are bracketed by Bruns' separators
+cos^2(k pi/(m + 1/2)) in q = u^2, each proven by its position against
+bounds on the zeros, with no evaluation of W; one outside its interval
+raises RootIsolationError.  Plain Newton starts from
 Tricomi's asymptotic guesses, refined by Newton in floats on the
 recurrence in u, which keeps the starts' last bits near u = 0, and climbs
 a ladder of decimal precisions inside each proven bracket, so that each
@@ -131,12 +131,6 @@ def _float_denominator_and_derivative(x: float, v: list[float]) -> tuple[float, 
     return w, _derivative(len(v) + 1, x, w, w_prev)
 
 
-# Above this many digits, each step of the contracted recurrence multiplies
-# by its coefficients as ratios of small integers, one full-length product
-# per step; at or below it, by the coefficients rounded once per rung, where
-# the short factors were slower (0.5-0.8 times the speed at 34-60 digits).
-_SHORT_FACTOR_DIGITS = 150
-
 # The contraction's starting values, built once rather than per evaluation.
 _ZERO, _ONE = Decimal(0), Decimal(1)
 
@@ -157,9 +151,8 @@ def _denominator_and_derivative(x: Decimal, rung: tuple) -> tuple[Decimal, Decim
     # context.  The recurrence X(k+1) = u*X(k) + v(k)*X(k-1) has no
     # diagonal term, so two of its steps fold into one in q = x^2, its even
     # contraction: X(k+2) = (q + s(k))*X(k) + d(k)*X(k-2).  rung is
-    # (m, v(m-1) rounded, steps, short), one step per two degrees: (s, d)
-    # rounded or, when short, the integers (a, b, c) with s = a/c and
-    # d = b/c.  From X = 1 and X(k-2) = 0 at k = m mod 2, m//2 steps give
+    # (m, v(m-1), steps), rounded, with one step (s, d) per two degrees.
+    # From X = 1 and X(k-2) = 0 at k = m mod 2, m//2 steps give
     # W = E(q) for even m and W = x*Y(q) for odd m.  W' comes from W and
     # W_(m-1), which is Y - v(m-1)*Y_prev for odd m and
     # (E - v(m-1)*E_prev)/x for even m; at a root the first term vanishes,
@@ -168,7 +161,7 @@ def _denominator_and_derivative(x: Decimal, rung: tuple) -> tuple[Decimal, Decim
     # of the ten guard digits at m = 1,000; at x = 0 itself, where W(0) and
     # W'(0) would lose four, they come from the products
     # W_2j(0) = v(1) v(3) ... v(2j-1), exact and rounded once.
-    m, v_last, steps, short = rung
+    m, v_last, steps = rung
     if not x:
         num, den = 1, 1
         for i in range(1, m // 2 + 1):
@@ -178,12 +171,8 @@ def _denominator_and_derivative(x: Decimal, rung: tuple) -> tuple[Decimal, Decim
         return Decimal(num) / den, _ZERO
     q = x * x
     prev, cur = _ZERO, _ONE
-    if short:
-        for a, b, c in steps:
-            prev, cur = cur, q * cur + (cur * a + prev * b) / c
-    else:
-        for s, d in steps:
-            prev, cur = cur, (q + s) * cur + d * prev
+    for s, d in steps:
+        prev, cur = cur, (q + s) * cur + d * prev
     below = cur - v_last * prev
     if m % 2:
         w = x * cur
@@ -193,9 +182,9 @@ def _denominator_and_derivative(x: Decimal, rung: tuple) -> tuple[Decimal, Decim
 
 def _decimal_evaluator(m: int):
     # (W, W') of degree m by the contracted recurrence under the ambient
-    # context.  The integer coefficients are built once; for each precision
-    # that asks, once per rung of the root finder's ladder, v(m-1) and, at
-    # or below _SHORT_FACTOR_DIGITS, the steps (s, d) are rounded once.
+    # context.  The integer coefficients are built once, and v(m-1) and the
+    # steps (s, d) are rounded once for each precision that asks: once per
+    # rung of the root finder's ladder.
     steps = [_contracted_step(k) for k in range(m % 2, m - 1, 2)]
     rungs: dict[int, tuple] = {}
 
@@ -204,10 +193,8 @@ def _decimal_evaluator(m: int):
         rung = rungs.get(prec)
         if rung is None:
             v_last = Decimal(-(m - 1) ** 2) / ((2 * m - 3) * (2 * m - 1))
-            short = prec > _SHORT_FACTOR_DIGITS
-            coefficients = steps if short else [(Decimal(a) / c, Decimal(b) / c)
-                                                for a, b, c in steps]
-            rung = rungs[prec] = (m, v_last, coefficients, short)
+            rung = rungs[prec] = (m, v_last, [(Decimal(a) / c, Decimal(b) / c)
+                                              for a, b, c in steps])
         return _denominator_and_derivative(x, rung)
 
     return evaluate
@@ -290,7 +277,7 @@ def _float_starts(m: int, separators: list[float]) -> list[Decimal]:
     # the recurrence in u.  A step that would leave the bracket, or a value
     # that under- or overflows, stops the refinement; floats only propose.
     scale = 1 - 1 / (8 * m * m) + 1 / (8 * m ** 3)
-    v = [-k * k / ((2 * k - 1) * (2 * k + 1)) for k in range(1, m)]
+    v = [float(cf_coefficient(k)) for k in range(1, m)]
     ends = [math.sqrt(q) for q in separators]
     starts = []
     for k, lo, hi in zip(range(m // 2, 0, -1), ends, ends[1:]):

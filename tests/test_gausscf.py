@@ -1,6 +1,7 @@
 """Continued-fraction convergents, Gaussian rules, error constants."""
 
 import hashlib
+import math
 import sys
 import threading
 from collections import Counter
@@ -417,7 +418,7 @@ class TestLargeOrders:
         # but move the weights; the rule's own check catches what QuadRule's
         # fixed 1e-25 tolerance would let through.  The float starts, which
         # one part in 1e40 cannot move, have their own evaluator and are left
-        # exact.  At precision 200 the top rung takes the short factors.
+        # exact.  Precision 200 checks a ladder of four rungs.
         exact = gausscf._denominator_and_derivative
 
         def skewed(x, coefficients):
@@ -446,7 +447,7 @@ def _root_near(m: int, x: Decimal, prec: int) -> Decimal:
 class TestContractedEvaluator:
     """The decimal evaluator, the even contraction of the recurrence in
     q = u**2, against the exact (W, W') of legendre_pair at the precisions of
-    the ladder's rungs, 210 digits taking the short integer factors."""
+    the ladder's rungs."""
 
     @pytest.mark.parametrize("m", [*range(1, 41), 101, 300])
     def test_against_exact_values(self, m):
@@ -467,6 +468,23 @@ class TestContractedEvaluator:
                     w, dw = evaluate(x)
                     step = w_exact.eval(F(x)) / dw_exact.eval(F(x))
                     assert abs(F(w) / F(dw) - step) <= F(10) ** (3 - prec)
+
+    @pytest.mark.parametrize("m", [999, 1000])
+    def test_near_zero_at_the_largest_orders(self, m):
+        # Near u = 0 the step loses most at the largest orders: at the
+        # smallest positive root and 1e-30 to either side, at 60 digits,
+        # against the u-form recurrence of the oracle with 30 more digits.
+        k = m // 2
+        start = Decimal(math.cos(math.pi * (4 * k - 1) / (4 * m + 2)))
+        root = _root_near(m, start, 60)
+        evaluate = gausscf._decimal_evaluator(m)
+        for x in (root, root - Decimal("1e-30"), root + Decimal("1e-30")):
+            with localcontext(Context(prec=60)):
+                w, dw = evaluate(x)
+                step = w / dw
+            with localcontext(Context(prec=90)):
+                p, dp = legendre_eval(m, x)
+                assert abs(step - p / dp) <= Decimal("1e-57")
 
 
 def _misrounded(nodes, poly: RatPoly, prec: int) -> list[Decimal]:
@@ -614,8 +632,8 @@ def test_large_order_rules_fingerprint():
 
 
 # sha256 over repr(gauss_rule(n, p)) in the u- and then the t-convention for
-# precisions 200 and 1000, whose top rungs take the short integer factors, as
-# the rules came when the evaluator ran the u-form recurrence on rounded v(k).
+# precisions 200 and 1000, as the rules came when the evaluator ran the
+# u-form recurrence on rounded v(k).
 HIGH_PRECISION_RULES = ((28, 200), (96, 200), (12, 1000), (48, 1000), (96, 1000))
 HIGH_PRECISION_FINGERPRINT = "8805e4a9afe5da71bb8d6a70729a0faf50a747e09385f9332260279b8daefd98"
 
