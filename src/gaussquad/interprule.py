@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 from . import numerics
 from .momseries import (
     SeriesTail,
+    _split_tail,
     cauchy_expansion_of_rule,
     divide_tail_by_poly,
     moment_series_t,
@@ -184,13 +185,16 @@ def newton_cotes(n: int, prec: int | None = None) -> QuadRule:
 def error_coefficients(rule: QuadRule, count: int, prec: int | None = None) -> ErrorSeries:
     """Error coefficients k[0..count-1] of the rule, exact.
 
-    The values come from long division of the product-split tail by the node
-    polynomial; the defining moment differences are recomputed independently
-    (exactly when the rule carries exact nodes and weights, as every
-    interpolatory rule does, in decimal otherwise) and any disagreement
-    raises ArithmeticError.  The decimal check allows
-    10**-(d-8), where d is the most significant digits any node or weight
-    carries, capped at ``prec``.
+    The values come from long division of the product-split tail (the tail
+    alone; its polynomial part is not built) by the node polynomial; the
+    defining moment differences are recomputed independently and any
+    disagreement raises ArithmeticError naming both values.  The rule's own
+    moments are exact when it carries exact nodes and weights, as every
+    interpolatory rule does, and otherwise the fixed-point power sums of
+    :func:`cauchy_expansion_of_rule` at ``prec`` plus the guard digits,
+    compared in decimal.  The decimal check allows 10**-(d-8), where d is
+    the most significant digits any node or weight carries, capped at
+    ``prec``.
     """
     prec = resolve_precision(prec)
     node_poly = rule.nodepoly
@@ -200,7 +204,7 @@ def error_coefficients(rule: QuadRule, count: int, prec: int | None = None) -> E
         raise ValueError("rule carries no exact node polynomial")
     D = node_poly.degree
     moments = _moments(rule.convention, max(count, D))
-    _, tail = product_split(node_poly, moments, tail_len=max(count - D, 0))
+    tail = _split_tail(node_poly, moments, max(count - D, 0))
     theta = divide_tail_by_poly(tail, node_poly, count)
     # The rule's own moments take the exact path exactly when the rule is exact.
     exact = rule.nodes_exact is not None and rule.weights_exact is not None

@@ -11,19 +11,24 @@ silently returning garbage.
 
 All series arithmetic is exact (Fraction coefficients).  Decimal values
 enter only through :func:`cauchy_expansion_of_rule` when a rule has no
-exact node data.
+exact node data, and even there the power sums run on Python integers in
+binary fixed point: each Decimal node and weight is converted once,
+exactly, and only the sums come back as Decimals at the ambient precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .ratpoly import RatPoly
+
+# Wide enough that a Decimal times a power of two is never rounded.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,35 @@ def moment_series_u(count: int) -> SeriesTail:
     )
 
 
+def _split_numerators(node_poly: RatPoly, moments: SeriesTail, tail_len: int | None):
+    # The integer kernel of the split: (a, M, scale, L) with node_poly's
+    # coefficients a[i]/den, the moments M[j]/big over their least common
+    # denominator big, scale = den*big and L tail coefficients to produce,
+    # so that every output is one integer dot product over scale.  The zero
+    # polynomial has no numerators a, so every dot product is empty and the
+    # length of the moments does not matter.
+    d = node_poly.degree  # -1 for the zero polynomial, whose tail is all zeros
+    room = len(moments) - max(d, 0)  # tail coefficients the moments support
+    L = room if tail_len is None else tail_len
+    if not 0 <= L <= room:
+        raise ValueError(
+            f"tail length {L} not in 0..{room}" if L < 0 <= room else
+            f"moment series too short: need {max(d, 0) + max(L, 0)} coefficients, "
+            f"have {len(moments)}"
+        )
+    a, den = node_poly.numerators
+    mu = moments.coeffs[:d + L]
+    big = lcm(*(m.denominator for m in mu))
+    M = [m.numerator * (big // m.denominator) for m in mu]
+    return a, M, den * big, L
+
+
+def _tail(a, M, scale: int, L: int) -> SeriesTail:
+    # Tail coefficient q is sum(c[i] * mu[q+i], 0 <= i <= d) over scale.
+    width = len(a)
+    return SeriesTail(tuple(Fraction(sum(map(mul, a, M[q:q + width])), scale) for q in range(L)))
+
+
 def product_split(
     node_poly: RatPoly, moments: SeriesTail, tail_len: int | None = None
 ) -> tuple[RatPoly, SeriesTail]:
@@ -76,40 +110,35 @@ def product_split(
     raised.  When ``tail_len`` is omitted, every tail coefficient the input
     supports is produced.
     """
-    d = node_poly.degree  # -1 for the zero polynomial, whose tail is all zeros
-    room = len(moments) - max(d, 0)  # tail coefficients the moments support
-    L = room if tail_len is None else tail_len
-    if not 0 <= L <= room:
-        raise ValueError(
-            f"tail length {L} not in 0..{room}" if L < 0 <= room else
-            f"moment series too short: need {max(d, 0) + max(L, 0)} coefficients, "
-            f"have {len(moments)}"
-        )
-    # Integer kernel: with c[i] = a[i]/den and mu[j] = M[j]/big over the
-    # least common denominator big, every output is one integer dot product
-    # over den*big, reduced once.  The zero polynomial has no numerators a,
-    # so every dot product is empty and the length of mu does not matter.
-    a, den = node_poly.numerators
-    mu = moments.coeffs[:d + L]
-    big = lcm(*(m.denominator for m in mu))
-    M = [m.numerator * (big // m.denominator) for m in mu]
-    scale = den * big
-    poly_part = RatPoly.from_numerators([sum(map(mul, a[p + 1:], M)) for p in range(d)], scale)
-    tail = tuple(Fraction(sum(map(mul, a, M[q:q + d + 1])), scale) for q in range(L))
-    return poly_part, SeriesTail(tail)
+    a, M, scale, L = _split_numerators(node_poly, moments, tail_len)
+    poly_part = RatPoly.from_numerators(
+        [sum(map(mul, a[p + 1:], M)) for p in range(len(a) - 1)], scale
+    )
+    return poly_part, _tail(a, M, scale, L)
+
+
+def _split_tail(node_poly: RatPoly, moments: SeriesTail, tail_len: int) -> SeriesTail:
+    # The tail of product_split alone, for callers that discard its polynomial part.
+    return _tail(*_split_numerators(node_poly, moments, tail_len))
 
 
 def _power_series_div(num: Sequence[Fraction], den: Sequence[Fraction], count: int):
-    # Ascending power-series division; den[0] must be nonzero.  Zero terms
-    # are skipped: an error series starts with as many zeros as the rule's
-    # degree of precision, and a zero product leaves acc unchanged.
-    out = []
+    # Ascending power-series division; den[0] must be nonzero.  Only nonzero
+    # outputs enter later terms, and a term with nothing to subtract stays
+    # zero: an error series starts with as many zeros as the rule's degree of
+    # precision, which the loop then passes over without arithmetic.
+    out = [Fraction(0)] * count
+    nonzero = []  # indices of the nonzero outputs so far, ascending
+    top = len(den) - 1
     for j in range(count):
-        acc = num[j] if j < len(num) else Fraction(0)
-        for i in range(1, min(j, len(den) - 1) + 1):
-            if out[j - i]:
-                acc -= den[i] * out[j - i]
-        out.append(acc / den[0])
+        acc = num[j] if j < len(num) else 0
+        for k in reversed(nonzero):
+            if j - k > top:
+                break
+            acc -= den[j - k] * out[k]
+        if acc:
+            out[j] = acc / den[0]
+            nonzero.append(j)
     return out
 
 
@@ -156,20 +185,36 @@ def rational_function_tail(num: RatPoly, den: RatPoly, count: int) -> SeriesTail
 def cauchy_expansion_of_rule(rule, count: int) -> SeriesTail:
     """Rule moments as a descending series: coeffs[m] = sum_j R_j * a_j**m.
 
-    Exact (Fraction) when the rule carries exact nodes and weights, Decimal
-    otherwise; the ambient decimal context governs the inexact path.
+    Exact (Fraction) when the rule carries exact nodes and weights.
+    Otherwise the rule's Decimal nodes and weights are summed in binary fixed
+    point at the ambient decimal precision P: with B = 10*P//3 + 4 bits, each
+    value x becomes the integer int(x * 2**B) (exact, then truncated), every
+    power steps as (t * a) >> B, and each sum S_m is returned as the Decimal
+    S_m / 2**B, rounded once to P digits.  For n nodes and weights in
+    [-1, 1], as in every Gauss rule, and count**2 < 2**B, S_m lies within
+    2*n*(m+1) of 2**B times the exact power sum of those Decimal values, so
+    coeffs[m] lies within 2*n*(m+1) * 2**-B of it, plus that one rounding.
+    Larger nodes or weights scale the bound with the size of the terms.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     nodes = getattr(rule, "nodes_exact", None)
     weights = getattr(rule, "weights_exact", None)
-    kind = Fraction
-    if nodes is None or weights is None:
-        nodes, weights, kind = rule.nodes, rule.weights, Decimal
-    # terms[j] = R_j * a_j**m, one multiplication per node and power.
-    terms = list(weights)
     out = []
+    if nodes is not None and weights is not None:
+        # terms[j] = R_j * a_j**m, one multiplication per node and power.
+        terms = list(weights)
+        for _ in range(count):
+            out.append(sum(terms, Fraction(0)))
+            terms = [t * a for t, a in zip(terms, nodes)]
+        return SeriesTail(tuple(out))
+    # Python integers stand for multiples of 2**-bits.
+    bits = getcontext().prec * 10 // 3 + 4
+    one = Decimal(1 << bits)
+    with localcontext(_EXACT):
+        A = [int(a * one) for a in rule.nodes]
+        T = [int(w * one) for w in rule.weights]
     for _ in range(count):
-        out.append(sum(terms, kind(0)))
-        terms = [t * a for t, a in zip(terms, nodes)]
+        out.append(Decimal(sum(T)) / one)
+        T = [t * a >> bits for t, a in zip(T, A)]
     return SeriesTail(tuple(out))

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaussquad.interprule import T01, interpolatory_rule
+from gaussquad.interprule import T01, U11, interpolatory_rule
 from gaussquad.momseries import (
     SeriesTail,
+    _split_tail,
     cauchy_expansion_of_rule,
     divide_tail_by_poly,
     moment_series_t,
@@ -19,6 +20,7 @@ from gaussquad.momseries import (
     product_split,
     rational_function_tail,
 )
+from gaussquad.numerics import working_context
 from gaussquad.ratpoly import RatPoly
 from oracles import frac_product_split, frac_series_quotient
 
@@ -154,6 +156,7 @@ class TestProductSplit:
         assert poly.coeffs == want_poly
         assert tail.coeffs == want_tail
         assert all(type(x) is Fraction for x in tail.coeffs)
+        assert _split_tail(node, series, tail_len) == tail
         # Omitting tail_len takes every coefficient the series supports.
         if short == 0 and node.degree >= 0:
             assert product_split(node, series) == (poly, tail)
@@ -209,6 +212,21 @@ class TestSeriesDivision:
         want = frac_series_quotient(tail[::-1], [0] * L + den, out_len)
         assert divide_tail_by_poly(SeriesTail(tuple(tail)), RatPoly(den), out_len).coeffs == want
 
+    def test_gauss_tail_with_a_long_run_of_zeros(self):
+        # The T01 Gauss tail at n = 100 has degree of precision 2n+1, so its
+        # quotient by the node polynomial opens with 2n+2 zeros, a run far
+        # beyond the at most 12 terms the strategies above draw.
+        from gaussquad.gausscf import gauss_rule
+
+        n = 100
+        T = gauss_rule(n, 50, convention=T01).nodepoly
+        count = 2 * n + 4
+        L = count - T.degree
+        tail = product_split(T, moment_series_t(count), tail_len=L)[1].coeffs
+        got = divide_tail_by_poly(SeriesTail(tail), T, count).coeffs
+        assert got == frac_series_quotient(tail[::-1], [0] * L + list(T.coeffs), count)
+        assert not any(got[:2 * n + 2]) and got[2 * n + 2] and got[2 * n + 3]
+
     def test_geometric_series(self):
         # 1/(t - 1/2) = t^-1 + (1/2) t^-2 + (1/4) t^-3 + ...
         got = rational_function_tail(RatPoly.one(), RatPoly((F(-1, 2), 1)), 5)
@@ -249,6 +267,32 @@ class TestCauchyExpansion:
                 K,
             )
             assert cauchy_expansion_of_rule(rule, K).coeffs == expansion.coeffs
+
+    @pytest.mark.parametrize("n, prec, convention",
+                             [(100, 50, T01), (28, 50, U11), (12, 200, T01), (12, 1000, T01)])
+    def test_fixed_point_sums_within_the_stated_bound(self, n, prec, convention):
+        # Against exact power sums of the same rounded Decimal nodes and
+        # weights: within 2*npoints*(m+1) * 2**-B plus one rounding to the
+        # ambient precision P, B = 10*P//3 + 4.  U11 nodes are negative in
+        # half the rule, where >> rounds toward minus infinity.
+        from gaussquad.gausscf import gauss_rule
+
+        rule = gauss_rule(n, prec, convention=convention)
+        count = 2 * n + 4
+        # Every value as an integer over 10**k, so the exact sum at power m
+        # is sum(terms) / 10**(k*(m+1)) with no Fraction arithmetic per term.
+        k = max(-x.as_tuple().exponent for x in rule.nodes + rule.weights)
+        nodes = [int(F(a) * 10**k) for a in rule.nodes]
+        terms = [int(F(w) * 10**k) for w in rule.weights]
+        ctx = working_context(prec)
+        with localcontext(ctx):
+            got = cauchy_expansion_of_rule(rule, count)
+        bits = ctx.prec * 10 // 3 + 4
+        for m in range(count):
+            exact = F(sum(terms), 10 ** (k * (m + 1)))
+            rounding = F(10) ** (got[m].adjusted() - ctx.prec + 1) / 2 if got[m] else 0
+            assert abs(F(got[m]) - exact) <= F(2 * (n + 1) * (m + 1), 2 ** bits) + rounding
+            terms = [t * a for t, a in zip(terms, nodes)]
 
     def test_decimal_path_for_inexact_rule(self):
         from gaussquad.gausscf import gauss_rule
