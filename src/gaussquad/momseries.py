@@ -67,13 +67,14 @@ def moment_series_u(count: int) -> SeriesTail:
     )
 
 
-def _split_numerators(node_poly: RatPoly, moments: SeriesTail, tail_len: int | None):
-    # The integer kernel of the split: (a, M, scale, L) with node_poly's
-    # coefficients a[i]/den, the moments M[j]/big over their least common
-    # denominator big, scale = den*big and L tail coefficients to produce,
-    # so that every output is one integer dot product over scale.  The zero
-    # polynomial has no numerators a, so every dot product is empty and the
-    # length of the moments does not matter.
+def _split_kernel(node_poly: RatPoly, moments: SeriesTail, tail_len: int | None):
+    # The split on integers: with node_poly's coefficients a[i]/den and the
+    # moments M[j]/big over their least common denominator big, every output
+    # is one integer dot product over scale = den*big, reduced once.  Returns
+    # (a, M, scale, tail), so that product_split can build the polynomial
+    # part from the same integers.  The zero polynomial has no numerators a,
+    # so every dot product is empty and the length of the moments does not
+    # matter.
     d = node_poly.degree  # -1 for the zero polynomial, whose tail is all zeros
     room = len(moments) - max(d, 0)  # tail coefficients the moments support
     L = room if tail_len is None else tail_len
@@ -87,13 +88,9 @@ def _split_numerators(node_poly: RatPoly, moments: SeriesTail, tail_len: int | N
     mu = moments.coeffs[:d + L]
     big = lcm(*(m.denominator for m in mu))
     M = [m.numerator * (big // m.denominator) for m in mu]
-    return a, M, den * big, L
-
-
-def _tail(a, M, scale: int, L: int) -> SeriesTail:
-    # Tail coefficient q is sum(c[i] * mu[q+i], 0 <= i <= d) over scale.
-    width = len(a)
-    return SeriesTail(tuple(Fraction(sum(map(mul, a, M[q:q + width])), scale) for q in range(L)))
+    scale = den * big
+    tail = tuple(Fraction(sum(map(mul, a, M[q:q + d + 1])), scale) for q in range(L))
+    return a, M, scale, SeriesTail(tail)
 
 
 def product_split(
@@ -110,16 +107,14 @@ def product_split(
     raised.  When ``tail_len`` is omitted, every tail coefficient the input
     supports is produced.
     """
-    a, M, scale, L = _split_numerators(node_poly, moments, tail_len)
-    poly_part = RatPoly.from_numerators(
-        [sum(map(mul, a[p + 1:], M)) for p in range(len(a) - 1)], scale
-    )
-    return poly_part, _tail(a, M, scale, L)
+    a, M, scale, tail = _split_kernel(node_poly, moments, tail_len)
+    poly = [sum(map(mul, a[p + 1:], M)) for p in range(len(a) - 1)]
+    return RatPoly.from_numerators(poly, scale), tail
 
 
 def _split_tail(node_poly: RatPoly, moments: SeriesTail, tail_len: int) -> SeriesTail:
     # The tail of product_split alone, for callers that discard its polynomial part.
-    return _tail(*_split_numerators(node_poly, moments, tail_len))
+    return _split_kernel(node_poly, moments, tail_len)[3]
 
 
 def _power_series_div(num: Sequence[Fraction], den: Sequence[Fraction], count: int):
