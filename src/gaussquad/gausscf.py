@@ -1,12 +1,15 @@
 """Gaussian rules of maximal degree via continued-fraction convergents.
 
 The moment series of the half measure on [-1, 1] has a continued-fraction
-expansion whose convergents V/W are built by a three-term recurrence with
+expansion whose convergents V/W obey a three-term recurrence with
 partial numerators v(m) = -m^2 / ((2m-1)(2m+1)).  The denominators W are
 the monic Legendre polynomials; taking the roots of W of degree n+1 as
 nodes yields the unique (n+1)-point rule of degree 2n+1, and the numerator
 V doubles as the polynomial part of W times the moment series, so the
-weight at node b is V(b) / W'(b).
+weight at node b is V(b) / W'(b).  Each call builds one order on its own:
+W by Bonnet's recurrence on the integer polynomials 2^k P_k, and V, on
+first use, from the product split of W.  Nothing is kept between calls,
+so every function here is pure.
 
 The exact polynomials V and W are the rule's exact outputs.  Its decimal
 nodes come from evaluating W and W' at decimal points by the recurrence
@@ -43,12 +46,14 @@ the brute-force cross-check for the continued-fraction route.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
+from functools import cached_property
+from itertools import zip_longest
 
 from .interprule import T01, U11, QuadRule, _moments, to_convention
+from .momseries import moment_series_u, product_split
 from .numerics import _as_decimal, resolve_precision, round_to, working_context
 from .ratpoly import RatPoly, mod_inverse_eval
 from .rootfind import RootIsolationError, real_roots_symmetric
@@ -56,11 +61,18 @@ from .rootfind import RootIsolationError, real_roots_symmetric
 
 @dataclass(frozen=True)
 class LegendrePair:
-    """Convergent of order m: numerator of degree m-1, monic denominator of degree m."""
+    """Convergent of order m: monic denominator W of degree m, numerator V of degree m-1.
+
+    V, the polynomial part of W times the moment series, is built on first
+    use and kept, so callers that need only W never pay for it.
+    """
 
     order: int
-    numerator: RatPoly
     denominator: RatPoly
+
+    @cached_property
+    def numerator(self) -> RatPoly:
+        return product_split(self.denominator, moment_series_u(self.order + 1), tail_len=0)[0]
 
 
 def cf_coefficient(m: int) -> Fraction:
@@ -70,45 +82,27 @@ def cf_coefficient(m: int) -> Fraction:
     return Fraction(-m * m, (2 * m - 1) * (2 * m + 1))
 
 
-def _step(x0: RatPoly, x1: RatPoly, k: int) -> RatPoly:
-    # X(k+1) = u*X(k) + v(k)*X(k-1) on integer numerators over one common
-    # denominator, brought to primitive form by one gcd.
-    v = cf_coefficient(k)
-    b, db = x0.numerators
-    a, da = x1.numerators
-    rb = v.denominator * db
-    den = math.lcm(da, rb)
-    fa, fb = den // da, v.numerator * (den // rb)
-    out = [0] + [x * fa for x in a]
-    for i, y in enumerate(b):
-        out[i] += y * fb
-    return RatPoly.from_numerators(out, den)
-
-
-# Convergents of orders 0, 1, ... built so far; _chain[m] has order m.  The
-# lock keeps two threads from extending the chain at once, which would store
-# pairs at the wrong index; reads need no lock, as the list only grows.
-_chain = [LegendrePair(0, RatPoly.zero(), RatPoly.one()),
-          LegendrePair(1, RatPoly.one(), RatPoly.identity())]
-_chain_lock = threading.Lock()
-
-
 def legendre_pair(m: int) -> LegendrePair:
     """Numerator/denominator pair (V, W) of the order-m convergent.
 
-    V(0) = 0, W(0) = 1, V(1) = 1, W(1) = u, then
-    X(k+1) = u * X(k) + v(k) * X(k-1) for both sequences.  Every order is
-    built once, from the two before it, and kept.
+    W = P_m / lead(P_m), the monic Legendre polynomial, from Q_k = 2^k P_k,
+    whose coefficients are integers: Bonnet's recurrence
+    (k+1) Q(k+1) = 2(2k+1) u Q(k) - 4k Q(k-1), from Q(-1) = 0 and Q(0) = 1,
+    divides exactly.  It runs on the coefficients of u^(k mod 2),
+    u^(k mod 2 + 2), ..., the only nonzero ones, so u Q(k) is Q(k) itself
+    for even k and Q(k) shifted up one place for odd k.  V comes from the
+    product split of W on first use.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m >= len(_chain):
-        with _chain_lock:
-            for k in range(len(_chain) - 1, m):
-                x0, x1 = _chain[k - 1], _chain[k]
-                _chain.append(LegendrePair(k + 1, _step(x0.numerator, x1.numerator, k),
-                                           _step(x0.denominator, x1.denominator, k)))
-    return _chain[m]
+    prev, cur = [], [1]
+    for k in range(m):
+        up = cur if k % 2 == 0 else [0] + cur
+        prev, cur = cur, [(2 * (2 * k + 1) * a - 4 * k * b) // (k + 1)
+                          for a, b in zip_longest(up, prev, fillvalue=0)]
+    dense = [0] * (m + 1)
+    dense[m % 2::2] = cur
+    return LegendrePair(m, RatPoly.from_numerators(dense, cur[-1]))
 
 
 def _derivative(m, x, w, w_prev):

@@ -2,8 +2,6 @@
 
 import hashlib
 import math
-import sys
-import threading
 from collections import Counter
 from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
@@ -111,7 +109,7 @@ class TestLegendrePair:
 
 def _plain_pairs(top: int) -> list[tuple[RatPoly, RatPoly]]:
     # (V, W) of orders 0..top by the three-term recurrence in plain RatPoly
-    # arithmetic, independent of the chain under test.
+    # arithmetic, independent of legendre_pair's builds.
     u = RatPoly.identity()
     v0, w0, v1, w1 = RatPoly.zero(), RatPoly.one(), RatPoly.one(), u
     out = [(v0, w0), (v1, w1)]
@@ -127,54 +125,35 @@ CHAIN_TOP = 120
 PLAIN_PAIRS = _plain_pairs(CHAIN_TOP)
 
 
-@pytest.fixture
-def fresh_chain(monkeypatch):
-    # A chain holding orders 0 and 1 only, so that the test builds the rest.
-    monkeypatch.setattr(gausscf, "_chain", gausscf._chain[:2])
-
-
 class TestLegendreChain:
     @pytest.mark.parametrize("orders", [range(CHAIN_TOP, -1, -1), range(CHAIN_TOP + 1),
                                         [7, 3, 50, 49, 120, 2, 0, 1]])
-    def test_matches_plain_recurrence(self, fresh_chain, orders):
+    def test_matches_plain_recurrence(self, orders):
         for m in orders:
             pair = legendre_pair(m)
             assert pair.order == m
             assert (pair.numerator, pair.denominator) == PLAIN_PAIRS[m]
 
-    def test_each_order_built_once(self, fresh_chain):
-        assert legendre_pair(40) is legendre_pair(40)
-        assert len(gausscf._chain) == 41
+    @pytest.mark.parametrize("m", [150, 300, 600])
+    def test_casorati_determinant(self, m):
+        # V(m+1) W(m) - V(m) W(m+1) = -v(m) (V(m) W(m-1) - V(m-1) W(m)) by the
+        # three-term recurrence, so it is the constant product of the -v(k)
+        # for k = 1..m, which is leading_error_constant(m - 1)[0].
+        lo, hi = legendre_pair(m), legendre_pair(m + 1)
+        det = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+        assert det == RatPoly((leading_error_constant(m - 1)[0],))
 
-    def test_threads_extend_one_chain(self, fresh_chain):
-        # Four threads extend the same fresh chain in different sequences;
-        # a short switch interval makes them interleave inside the extension.
-        sequences = [range(CHAIN_TOP, 0, -1), range(CHAIN_TOP + 1),
-                     range(0, CHAIN_TOP + 1, 7), [97, 3, 41, 17, CHAIN_TOP, 2]]
-        barrier = threading.Barrier(len(sequences), timeout=30)
-        results: list[list] = [[] for _ in sequences]
+    def test_gauss_path_never_builds_numerator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Gauss path built the numerator V")
 
-        def work(i):
-            barrier.wait()
-            results[i] = [(m, legendre_pair(m)) for m in sequences[i]]
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(sequences))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for seq, got in zip(sequences, results):
-            assert [m for m, _ in got] == list(seq)
-            for m, pair in got:
-                assert pair.order == m
-                assert (pair.numerator, pair.denominator) == PLAIN_PAIRS[m]
-        assert [p.order for p in gausscf._chain] == list(range(CHAIN_TOP + 1))
+        monkeypatch.setattr(gausscf, "product_split", refuse)
+        gauss_rule(12)
+        gauss_rule(13, convention=T01)
+        with pytest.raises(AssertionError):
+            legendre_pair(7).numerator
+        monkeypatch.undo()
+        assert legendre_pair(7).numerator == PLAIN_PAIRS[7][0]
 
 
 class TestAnnihilatingSolve:

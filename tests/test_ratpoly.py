@@ -321,7 +321,7 @@ class TestIntegerKernelAgainstFractionReference:
 class TestLargeOrderExact:
     """The exact layer beyond the n <= 12 the rest of the suite covers."""
 
-    @pytest.mark.parametrize("m", [29, 53, 77, 101])
+    @pytest.mark.parametrize("m", [29, 53, 77, 101, 300, 1000])
     def test_legendre_denominator_closed_form(self, m):
         assert legendre_pair(m).denominator.coeffs == monic_legendre_coeffs(m)
 
