@@ -38,29 +38,24 @@ from .momseries import (
     moment_series_t,
     moment_series_u,
     product_split,
-    rational_function_tail,
 )
 from .numerics import (
     DEFAULT_PRECISION,
-    HPScalar,
-    Rational,
     format_fixed,
     format_sig,
     hp_ln,
     hp_log10_scaled,
     to_hp,
 )
-from .ratpoly import RatPoly, mod_inverse_eval, poly_ext_gcd
+from .ratpoly import RatPoly, mod_inverse_eval
 from .rootfind import RootIsolationError
 
 __all__ = [
     "DEFAULT_PRECISION",
     "ErrorSeries",
-    "HPScalar",
     "LegendrePair",
     "QuadRule",
     "RatPoly",
-    "Rational",
     "RootIsolationError",
     "SeriesTail",
     "T01",
@@ -85,9 +80,7 @@ __all__ = [
     "named_integrand",
     "newton_cotes",
     "node_terms",
-    "poly_ext_gcd",
     "product_split",
-    "rational_function_tail",
     "to_convention",
     "to_hp",
     "weight_polynomial",

@@ -33,7 +33,6 @@ from fractions import Fraction
 from .gausscf import (
     gauss_rule,
     leading_error_constant,
-    legendre_pair,
     weight_polynomial,
 )
 from .interprule import (
@@ -48,7 +47,7 @@ from .interprule import (
     parse_poly_spec,
     to_convention,
 )
-from .momseries import moment_series_t, product_split
+from .momseries import moment_series_t, moment_series_u, product_split
 from .numerics import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -126,10 +125,10 @@ def cmd_tables(args, parser) -> Report:
     prec = args.prec
     doc, rows, lines = [], [], []
     for n in range(args.n_min, args.n_max + 1):
-        pair = legendre_pair(n + 1)
         rule_u = gauss_rule(n, prec, convention=U11)
         rule_t = to_convention(rule_u, T01, prec)
-        t_poly = rule_t.nodepoly
+        u_poly, t_poly = rule_u.nodepoly, rule_t.nodepoly
+        u_prime, _ = product_split(u_poly, moment_series_u(u_poly.degree), tail_len=0)
         t_prime, _ = product_split(t_poly, moment_series_t(t_poly.degree), tail_len=0)
         c, k_first = leading_error_constant(n)
         nodes_t = [format_sig(a, 16) for a in rule_t.nodes]
@@ -144,8 +143,8 @@ def cmd_tables(args, parser) -> Report:
             lines.append("")
         lines += [
             f"n={n}  ({n + 1} {'point' if n == 0 else 'points'}, degree {rule_u.degree})",
-            f"  U  (u) = {pair.denominator.format('u')}",
-            f"  U' (u) = {pair.numerator.format('u')}",
+            f"  U  (u) = {u_poly.format('u')}",
+            f"  U' (u) = {u_prime.format('u')}",
             f"  T  (t) = {t_poly.format('t')}",
             f"  T' (t) = {t_prime.format('t')}",
             f"  weight polynomial (u) = {weight_polynomial(n).format('u')}",

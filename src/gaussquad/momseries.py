@@ -43,13 +43,6 @@ class SeriesTail:
     def __getitem__(self, m: int):
         return self.coeffs[m]
 
-    def first_nonzero(self) -> int | None:
-        """Index of the first nonzero coefficient, or None if all are zero."""
-        for m, c in enumerate(self.coeffs):
-            if c != 0:
-                return m
-        return None
-
 
 def moment_series_t(count: int) -> SeriesTail:
     """Moments of dt on [0, 1]: coefficient of t**-(m+1) is 1/(m+1)."""
@@ -158,23 +151,6 @@ def divide_tail_by_poly(tail: SeriesTail, den: RatPoly, out_len: int) -> SeriesT
     rev_den = tuple(reversed(den.coeffs))
     quot = _power_series_div(tail.coeffs, rev_den, need)
     return SeriesTail((Fraction(0),) * D + tuple(quot))
-
-
-def rational_function_tail(num: RatPoly, den: RatPoly, count: int) -> SeriesTail:
-    """Descending expansion of num/den at infinity, requiring deg num < deg den.
-
-    num/den is x**D times the tail num(x) * x**-D over den, D = deg den; that
-    tail has num[D-1-q] at x**-(q+1) and exact zeros beyond, so one division
-    by den to count + D terms, less its first D, gives the expansion.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("expansion of a quotient with zero denominator")
-    D = den.degree
-    if num.degree >= D:
-        raise ValueError("numerator degree must be below denominator degree")
-    zero = (Fraction(0),)
-    tail = zero * (D - 1 - num.degree) + tuple(reversed(num.coeffs)) + zero * count
-    return SeriesTail(divide_tail_by_poly(SeriesTail(tail), den, count + D).coeffs[D:])
 
 
 def cauchy_expansion_of_rule(rule, count: int) -> SeriesTail:

@@ -2,15 +2,14 @@
 
 Two scalar kinds are used throughout the package:
 
-* ``Rational`` (= :class:`fractions.Fraction`): exact signed fractions in
-  canonical form (positive denominator, reduced).  All symbolic polynomial
-  and series work stays in this type end to end.
-* ``HPScalar`` (= :class:`decimal.Decimal`): floating values carrying a
-  configurable number of significant decimal digits.  ``to_hp`` rounds its
-  input once; every other public function here computes with
-  :data:`GUARD_DIGITS` extra digits and rounds the result back to the
-  requested precision, so results are correctly rounded at the precision
-  the caller asked for.
+* :class:`fractions.Fraction`: exact signed fractions in canonical form
+  (positive denominator, reduced).  All symbolic polynomial and series work
+  stays in this type end to end.
+* :class:`decimal.Decimal`: floating values carrying a configurable number
+  of significant decimal digits.  ``to_hp`` rounds its input once; every
+  other public function here computes with :data:`GUARD_DIGITS` extra
+  digits and rounds the result back to the requested precision, so results
+  are correctly rounded at the precision the caller asked for.
 
 The default precision is 50 significant digits; anything below 40 is
 rejected because downstream root polishing assumes that much headroom, and
@@ -22,9 +21,6 @@ from __future__ import annotations
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation,
                      getcontext, localcontext)
 from fractions import Fraction
-
-Rational = Fraction
-HPScalar = Decimal
 
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 40
@@ -84,7 +80,7 @@ def _as_decimal(value) -> Decimal:
 
 
 def to_hp(value, prec: int | None = None) -> Decimal:
-    """Convert an int/Fraction/str/Decimal to an HPScalar at the given precision.
+    """Convert an int/Fraction/str/Decimal to a Decimal at the given precision.
 
     Fraction conversion is a single correctly rounded division, hence exact to
     within half an ulp at the requested precision.  A NaN or an infinity
@@ -126,16 +122,22 @@ def _ln10() -> Decimal:
     prec = getcontext().prec
     cached = _LN10_CACHE.get(prec)
     if cached is None:
-        cached = _ln(Decimal(10))
+        # ln(10) = ln(10/8) + 3 ln 2, the two terms _ln(10) itself would add.
+        cached = _ln(Decimal("1.25")) + 3 * _ln2()
         _LN10_CACHE[prec] = cached
     return cached
 
 
 def _ln(x: Decimal) -> Decimal:
-    # Ambient context.  Reduce x = m * 2**k with m in [3/4, 3/2), then
-    # ln(m) = 2 atanh((m-1)/(m+1)) with |argument| <= 1/5.  The interval
+    # Ambient context.  Outside [0.1, 10), split off the decimal exponent
+    # first: ln(x) = ln(x * 10**-e) + e ln 10, exactly scaled, so the cost
+    # does not grow with e.  Then reduce x = m * 2**k with m in [3/4, 3/2),
+    # and ln(m) = 2 atanh((m-1)/(m+1)) with |argument| <= 1/5.  The interval
     # holds 1 inside it, so x near 1 on either side keeps k = 0 and an
     # exact m - 1; with k = -1, ln(2x) - ln 2 would cancel.
+    e = x.adjusted()
+    if e >= 1 or e <= -2:
+        return _ln(x.scaleb(-e)) + e * _ln10()
     m = x
     k = 0
     while m >= _LN_HI:

@@ -87,11 +87,6 @@ class RatPoly:
         return cls((1,))
 
     @classmethod
-    def identity(cls) -> "RatPoly":
-        """The polynomial x."""
-        return cls((0, 1))
-
-    @classmethod
     def from_numerators(cls, num: Iterable[int], den: int) -> "RatPoly":
         """The polynomial with coefficients num[i]/den, ascending; den is a nonzero int."""
         return _make(list(num), den)
@@ -311,13 +306,6 @@ class RatPoly:
         """Exact definite integral over [0, 1]."""
         return sum((c / (i + 1) for i, c in enumerate(self.coeffs)), Fraction(0))
 
-    def integral_pm1(self) -> Fraction:
-        """Exact definite integral over [-1, 1]; odd monomials drop out."""
-        return sum(
-            (2 * c / (i + 1) for i, c in enumerate(self.coeffs) if i % 2 == 0),
-            Fraction(0),
-        )
-
     def compose_affine(self, a: Fraction | int, b: Fraction | int) -> "RatPoly":
         """Return the polynomial self(a*x + b), exactly.
 
@@ -356,18 +344,6 @@ def _ext_gcd_s(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
         inv = 1 / r0.leading
         r0, s0 = r0.scale(inv), s0.scale(inv)
     return r0, s0
-
-
-def poly_ext_gcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g.
-
-    g is canonical (monic, or zero).  The cofactor t is the exact quotient
-    (g - s*a)/b, unique under the degree bounds of Euclid's cofactors.
-    """
-    g, s = _ext_gcd_s(a, b)
-    if b.is_zero:
-        return g, s, RatPoly.zero()
-    return g, s, (g - s * a).divrem(b)[0]
 
 
 def mod_inverse_eval(Z: RatPoly, zeta: RatPoly, zetap: RatPoly) -> RatPoly:

@@ -9,7 +9,7 @@ import re
 import sys
 import tempfile
 import time
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -336,6 +336,19 @@ class TestIntegrate:
         )
         assert code == 0
         assert "value=1.000000000000000E+999990" in out
+
+    def test_logarithm_at_the_largest_exponent_prints(self, capsys):
+        # ln x at x = 1e999999 splits off the decimal exponent instead of
+        # halving x three million times.  Over the unit interval the value
+        # is 1/ln(1e999999) to well within the 16 digits printed.
+        code, out, err = run_cli(capsys, "integrate", "--n", "12", "--fn", "reciprocal-log",
+                                 "--from", "1e999999", "--width", "1")
+        assert (code, err) == (0, "")
+        assert out == "rule=gauss\nn=12\nvalue=4.342949161981680E-7\n"
+        with localcontext(Context(prec=30)):
+            want = 1 / (999999 * Decimal(10).ln())
+        # Within half a unit of the 16th digit.
+        assert abs(Decimal(out.split("value=")[1]) - want) <= Decimal("5e-23")
 
     def test_value_rounding_past_the_default_exponent_limit_prints(self, capsys):
         # Rounding to 16 digits carries the value to 1E+1000000, one past

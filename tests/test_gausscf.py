@@ -18,14 +18,10 @@ from gaussquad.gausscf import (
     weight_polynomial,
 )
 from gaussquad.interprule import T01, U11, error_coefficients, to_convention
-from gaussquad.momseries import (
-    moment_series_u,
-    product_split,
-    rational_function_tail,
-)
+from gaussquad.momseries import moment_series_u, product_split
 from gaussquad.numerics import working_context
 from gaussquad.ratpoly import RatPoly, mod_inverse_eval
-from oracles import lagrange_weights_hp, legendre_eval, legendre_nodes
+from oracles import frac_series_quotient, lagrange_weights_hp, legendre_eval, legendre_nodes
 
 F = Fraction
 
@@ -51,7 +47,7 @@ class TestLegendrePair:
 
     def test_order_two(self):
         pair = legendre_pair(2)
-        assert pair.numerator == RatPoly.identity()
+        assert pair.numerator == RatPoly((0, 1))
         assert pair.denominator == RatPoly((F(-1, 3), 0, 1))
 
     def test_order_three(self):
@@ -82,7 +78,8 @@ class TestLegendrePair:
         w = legendre_pair(m).denominator
         for k in range(m):
             mono = RatPoly([0] * k + [1])
-            assert (w * mono).integral_pm1() == 0
+            # The integral over [-1, 1]: odd monomials drop out.
+            assert sum(c / (i + 1) for i, c in enumerate((w * mono).coeffs) if i % 2 == 0) == 0
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_numerator_from_divided_difference(self, m):
@@ -110,7 +107,7 @@ class TestLegendrePair:
 def _plain_pairs(top: int) -> list[tuple[RatPoly, RatPoly]]:
     # (V, W) of orders 0..top by the three-term recurrence in plain RatPoly
     # arithmetic, independent of legendre_pair's builds.
-    u = RatPoly.identity()
+    u = RatPoly((0, 1))
     v0, w0, v1, w1 = RatPoly.zero(), RatPoly.one(), RatPoly.one(), u
     out = [(v0, w0), (v1, w1)]
     for k in range(1, top):
@@ -643,8 +640,8 @@ class TestLeadingErrorConstant:
         pair = legendre_pair(m)
         count = 2 * m + 2
         phi = moment_series_u(count)
-        approx = rational_function_tail(pair.numerator, pair.denominator, count)
-        diff = [a - b for a, b in zip(phi.coeffs, approx.coeffs)]
+        approx = frac_series_quotient(pair.numerator.coeffs, pair.denominator.coeffs, count)
+        diff = [a - b for a, b in zip(phi.coeffs, approx)]
         assert all(d == 0 for d in diff[: 2 * m])
         assert diff[2 * m] == leading_error_constant(m - 1)[0]
 

@@ -18,7 +18,6 @@ from gaussquad.momseries import (
     moment_series_t,
     moment_series_u,
     product_split,
-    rational_function_tail,
 )
 from gaussquad.numerics import working_context
 from gaussquad.ratpoly import RatPoly
@@ -88,16 +87,17 @@ class TestProductSplit:
     def test_two_point_symmetric_split(self):
         U = RatPoly((F(-1, 3), 0, 1))
         uprime, tail = product_split(U, moment_series_u(7))
-        assert uprime == RatPoly.identity()
-        assert tail.first_nonzero() == 2  # sits at u**-3 in the product tail
+        assert uprime == RatPoly((0, 1))
+        # The first nonzero coefficient sits at u**-3 in the product tail.
+        assert next(m for m, c in enumerate(tail.coeffs) if c) == 2
         assert tail[2] == F(4, 45)
 
     def test_pade_remainder_position(self):
         # The same 4/45 reappears at u**-5 in phi - U'/U.
         U = RatPoly((F(-1, 3), 0, 1))
         phi = moment_series_u(8)
-        approx = rational_function_tail(RatPoly.identity(), U, 8)
-        diff = [a - b for a, b in zip(phi.coeffs, approx.coeffs)]
+        approx = frac_series_quotient((0, 1), U.coeffs, 8)
+        diff = [a - b for a, b in zip(phi.coeffs, approx)]
         assert diff[:4] == [0, 0, 0, 0]
         assert diff[4] == F(4, 45)
 
@@ -131,9 +131,9 @@ class TestProductSplit:
             sigma = moment_series_t(deg + K)
             tprime, tail = product_split(T, sigma, tail_len=K)
             # Divide the two pieces back by T; their sum must reproduce sigma.
-            head = rational_function_tail(tprime, T, K)
+            head = frac_series_quotient(tprime.coeffs, T.coeffs, K)
             rest = divide_tail_by_poly(tail, T, K)
-            got = [a + b for a, b in zip(head.coeffs, rest.coeffs)]
+            got = [a + b for a, b in zip(head, rest.coeffs)]
             assert got == list(sigma.coeffs[:K])
 
     @given(
@@ -169,35 +169,24 @@ class TestSeriesDivision:
 
     def test_short_tail_rejected(self):
         with pytest.raises(ValueError, match="too short"):
-            divide_tail_by_poly(SeriesTail((F(1),)), RatPoly.identity(), 5)
-
-    def test_degree_bound_enforced(self):
-        with pytest.raises(ValueError):
-            rational_function_tail(RatPoly((0, 0, 1)), RatPoly.identity(), 4)
+            divide_tail_by_poly(SeriesTail((F(1),)), RatPoly((0, 1)), 5)
 
     def test_zero_denominator_outranks_degree(self):
+        # Division by zero is reported before the tail is found too short.
         with pytest.raises(ZeroDivisionError):
-            rational_function_tail(RatPoly((0, 0, 1)), RatPoly.zero(), 4)
+            divide_tail_by_poly(SeriesTail(()), RatPoly.zero(), 4)
 
     def test_zero_numerator(self):
-        got = rational_function_tail(RatPoly.zero(), RatPoly((1, 2, 3)), 4)
+        got = divide_tail_by_poly(SeriesTail((F(0),) * 2), RatPoly((1, 2, 3)), 4)
         assert got.coeffs == (0,) * 4
 
     def test_count_within_leading_zeros(self):
-        # 1/(x**3 - 2) starts at x**-3, so its first two coefficients are zero.
-        got = rational_function_tail(RatPoly.one(), RatPoly((-2, 0, 0, 1)), 2)
-        assert got.coeffs == (0, 0)
-
-    @given(
-        den=st.lists(small_rationals, min_size=1, max_size=7).filter(lambda c: c[-1] != 0),
-        num=st.lists(small_rationals, max_size=7),
-        count=st.integers(0, 12),
-    )
-    @settings(max_examples=200)
-    def test_rational_function_tail_matches_long_division(self, den, num, count):
-        num = num[:len(den) - 1]
-        want = frac_series_quotient(num, den, count)
-        assert rational_function_tail(RatPoly(num), RatPoly(den), count).coeffs == want
+        # x**-3 / (x**3 - 2) starts at x**-6, so its first five coefficients
+        # are zero, both within the degree's run of zeros and beyond it.
+        tail, den = SeriesTail((F(0), F(0), F(1))), RatPoly((-2, 0, 0, 1))
+        for out_len in range(6):
+            assert divide_tail_by_poly(tail, den, out_len).coeffs == (0,) * out_len
+        assert divide_tail_by_poly(tail, den, 6).coeffs == (0,) * 5 + (1,)
 
     @given(
         den=st.lists(small_rationals, min_size=1, max_size=7).filter(lambda c: c[-1] != 0),
@@ -228,9 +217,9 @@ class TestSeriesDivision:
         assert not any(got[:2 * n + 2]) and got[2 * n + 2] and got[2 * n + 3]
 
     def test_geometric_series(self):
-        # 1/(t - 1/2) = t^-1 + (1/2) t^-2 + (1/4) t^-3 + ...
-        got = rational_function_tail(RatPoly.one(), RatPoly((F(-1, 2), 1)), 5)
-        assert got.coeffs == (1, F(1, 2), F(1, 4), F(1, 8), F(1, 16))
+        # t**-1 / (t - 1/2) = t**-2 + (1/2) t**-3 + (1/4) t**-4 + ...
+        got = divide_tail_by_poly(SeriesTail((F(1), 0, 0, 0)), RatPoly((F(-1, 2), 1)), 5)
+        assert got.coeffs == (0, 1, F(1, 2), F(1, 4), F(1, 8))
 
 
 class TestCauchyExpansion:
@@ -261,12 +250,12 @@ class TestCauchyExpansion:
                     nodes.append(r)
             rule = interpolatory_rule(nodes, T01)
             K = 10
-            expansion = rational_function_tail(
-                product_split(rule.nodepoly, moment_series_t(size))[0],
-                rule.nodepoly,
+            expansion = frac_series_quotient(
+                product_split(rule.nodepoly, moment_series_t(size))[0].coeffs,
+                rule.nodepoly.coeffs,
                 K,
             )
-            assert cauchy_expansion_of_rule(rule, K).coeffs == expansion.coeffs
+            assert cauchy_expansion_of_rule(rule, K).coeffs == expansion
 
     @pytest.mark.parametrize("n, prec, convention",
                              [(100, 50, T01), (28, 50, U11), (12, 200, T01), (12, 1000, T01)])

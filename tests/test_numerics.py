@@ -16,6 +16,7 @@ from gaussquad.numerics import (
     hp_ln,
     hp_log10_scaled,
     resolve_precision,
+    round_to,
     to_hp,
 )
 from oracles import LN_2, LN_100000, LOG10_SCALED_HALF
@@ -62,6 +63,21 @@ class TestHpLn:
             err = abs(hp_ln(x, prec) - oracle)
         # The oracle carries 120 digits, which caps what prec = 200 can show.
         assert err <= abs(oracle) * Decimal(1).scaleb(1 - min(prec, 115))
+
+    @pytest.mark.parametrize("x", ["1e999999", "1e-999999", "1e400000", "1e-400000",
+                                   "0.1", "10"])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_extreme_exponents_and_switch_points_against_decimal_ln(self, x, step):
+        # The decimal exponent is split off outside [0.1, 10).  Checked near
+        # both ends of the default exponent range and at the two switch
+        # points, each at x and one 50-digit ulp to either side.
+        ulps = Context(prec=50)
+        x = {-1: ulps.next_minus, 0: Decimal, 1: ulps.next_plus}[step](Decimal(x))
+        with localcontext(Context(prec=70)):
+            ln_x = x.ln()
+            log10_scaled = 9 + ln_x / Decimal(10).ln()
+        assert hp_ln(x, 50) == round_to(ln_x, 50)
+        assert hp_log10_scaled(x, 50) == round_to(log10_scaled, 50)
 
     def test_fraction_input(self):
         # ln(1/2) = -ln 2

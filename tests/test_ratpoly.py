@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussquad.gausscf import legendre_pair, weight_polynomial
-from gaussquad.ratpoly import RatPoly, mod_inverse_eval, poly_ext_gcd
+from gaussquad.ratpoly import RatPoly, _ext_gcd_s, mod_inverse_eval
 from oracles import (
     frac_divrem,
     frac_eval,
@@ -140,12 +140,6 @@ class TestIntegrals:
         mono = RatPoly([0] * m + [1])
         assert mono.integral_01() == F(1, m + 1)
 
-    def test_odd_symmetry(self):
-        assert RatPoly.identity().integral_pm1() == 0
-
-    def test_square(self):
-        assert poly(0, 0, 1).integral_pm1() == F(2, 3)
-
 
 class TestModInverseEval:
     def test_identity_quotient(self):
@@ -159,7 +153,7 @@ class TestModInverseEval:
         assert got == poly(F(1, 2))
 
     def test_constant_ratio(self):
-        got = mod_inverse_eval(RatPoly.identity(), poly(0, 2), poly(F(-1, 3), 0, 1))
+        got = mod_inverse_eval(poly(0, 1), poly(0, 2), poly(F(-1, 3), 0, 1))
         assert got == poly(F(1, 2))
 
     def test_shared_root_rejected(self):
@@ -167,6 +161,20 @@ class TestModInverseEval:
         zetap = zeta * poly(1, 1)
         with pytest.raises(ValueError, match="shared|share"):
             mod_inverse_eval(RatPoly.one(), zeta, zetap)
+
+    @given(
+        c=st.lists(small_rationals, min_size=2, max_size=4).filter(lambda c: c[-1] != 0),
+        a=st.lists(small_rationals, min_size=1, max_size=4).filter(lambda a: a[-1] != 0),
+        b=st.lists(small_rationals, min_size=1, max_size=4).filter(lambda b: b[-1] != 0),
+        z=coeff_lists,
+    )
+    @settings(max_examples=100)
+    def test_common_factor_rejected(self, c, a, b, z):
+        # zeta = C*A and zetap = C*B share every root of C, deg C >= 1, so
+        # Euclid's gcd has positive degree whatever A and B are.
+        C = RatPoly(c)
+        with pytest.raises(ValueError, match="share a root"):
+            mod_inverse_eval(RatPoly(z), C * RatPoly(a), C * RatPoly(b))
 
     @given(
         zp_roots=st.lists(
@@ -194,13 +202,13 @@ class TestExtGcd:
     @given(f=coeff_lists, g=coeff_lists)
     @settings(max_examples=60)
     def test_bezout_identity(self, f, g):
+        # Euclid's cofactor s of f: s*f = d modulo g, with d = gcd(f, g).
         fp, gp = RatPoly(f), RatPoly(g)
-        d, s, t = poly_ext_gcd(fp, gp)
-        assert s * fp + t * gp == d
+        d, s = _ext_gcd_s(fp, gp)
+        assert (s * fp - d if gp.is_zero else (s * fp - d) % gp).is_zero
         if not d.is_zero:
             assert d.leading == 1
-            assert (fp % d).is_zero if not fp.is_zero else True
-            assert (gp % d).is_zero if not gp.is_zero else True
+            assert (fp % d).is_zero and (gp % d).is_zero
 
 
 class TestAffine:
@@ -270,7 +278,7 @@ class TestIntegerKernelAgainstFractionReference:
     @given(f=coeff_lists, g=coeff_lists)
     @settings(max_examples=100)
     def test_ext_gcd(self, f, g):
-        got = poly_ext_gcd(RatPoly(f), RatPoly(g))
+        got = _ext_gcd_s(RatPoly(f), RatPoly(g))
         for p, want in zip(got, frac_ext_gcd(frac_poly(f), frac_poly(g))):
             assert_canonical(p, want)
 
